@@ -65,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/envdyn
 	$(GO) test -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/actor
+	$(GO) test -run '^$$' -fuzz '^FuzzPCGPair3Split$$' -fuzztime $(FUZZTIME) ./internal/randx
 
 # bench produces real timings; override BENCHTIME (e.g. BENCHTIME=2s) or
 # narrow with standard go test flags for serious measurement runs.

@@ -22,6 +22,9 @@
 // (Prometheus /metrics, JSON /snapshot, /debug/pprof) while the benchmark
 // runs. -actors -1 drops the actor entries; -stale -1 keeps only the
 // barrier actor entry. -out "" prints the JSON to stdout instead.
+//
+// With sequential steps (-workers 0 or 1) lbbench exits 1 after writing
+// the document when any shared-memory row reports allocs_per_round > 0.
 package main
 
 import (
@@ -101,5 +104,22 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "lbbench: %-24s %-4s %-20s %10.0f node-updates/s  %6.1f B/node  %5.1f allocs/round\n",
 			e.Graph, e.Scheme, rt, e.NodeUpdatesPerSec, e.BytesPerNode, e.AllocsPerRound)
+	}
+
+	// A sequential shared-memory round allocates nothing; a row that says
+	// otherwise is a regression (or a broken measurement), not a result.
+	// Multi-worker rows pay shard.Run's goroutine spawns and are exempt.
+	if *workers <= 1 {
+		failed := false
+		for _, e := range res.Entries {
+			if e.Runtime == "" && e.AllocsPerRound > 0 {
+				fmt.Fprintf(os.Stderr, "lbbench: %s/%s shared-memory row allocates %g objects/round, want 0\n",
+					e.Graph, e.Scheme, e.AllocsPerRound)
+				failed = true
+			}
+		}
+		if failed {
+			os.Exit(1)
+		}
 	}
 }

@@ -89,10 +89,12 @@ type Runtime struct {
 	// shared-memory engine's flows array exactly; under staleness the two
 	// directions of an edge may disagree (each owner knows what it sent
 	// and what it has been credited, which is the distributed semantics).
-	netFlow    []int64
-	flowOut    []int64   // per-arc tokens sent this round; zero at round boundaries
-	flowIn     []int64   // per-arc tokens credited this round; zero at round boundaries
-	scheduled  []float64 // scratch Ŷ(t) per arc, recomputed every round
+	netFlow []int64
+	flowOut []int64 // per-arc tokens sent this round; zero at round boundaries
+	flowIn  []int64 // per-arc tokens credited this round; zero at round boundaries
+	// scheduled is Ŷ(t) per arc, allocated and written only while
+	// RecordScheduledFlows is on (nil otherwise).
+	scheduled  []float64 //lint:allow checkpointsync diagnostic record of the last round's Ŷ, rewritten by every Step while recording
 	z          []float64 // scratch x_i/s_i, recomputed every round
 	flowsValid bool
 
@@ -180,26 +182,25 @@ func New(op *spectral.Operator, kind core.Kind, beta float64, rounder core.Round
 	}
 	k := lay.Shards()
 	r := &Runtime{
-		op:        op,
-		kind:      kind,
-		beta:      beta,
-		rounder:   rounder,
-		seed:      seed,
-		stale:     opts.Stale,
-		lay:       lay,
-		offsets:   g.Offsets(),
-		arcs:      g.Arcs(),
-		mate:      g.MateIndex(),
-		x:         make([]int64, n),
-		netFlow:   make([]int64, g.NumArcs()),
-		flowOut:   make([]int64, g.NumArcs()),
-		flowIn:    make([]int64, g.NumArcs()),
-		scheduled: make([]float64, g.NumArcs()),
-		z:         make([]float64, n),
-		minT:      make([]int64, k),
-		minE:      make([]int64, k),
-		movd:      make([]int64, k),
-		msgs:      make([]int64, k),
+		op:      op,
+		kind:    kind,
+		beta:    beta,
+		rounder: rounder,
+		seed:    seed,
+		stale:   opts.Stale,
+		lay:     lay,
+		offsets: g.Offsets(),
+		arcs:    g.Arcs(),
+		mate:    g.MateIndex(),
+		x:       make([]int64, n),
+		netFlow: make([]int64, g.NumArcs()),
+		flowOut: make([]int64, g.NumArcs()),
+		flowIn:  make([]int64, g.NumArcs()),
+		z:       make([]float64, n),
+		minT:    make([]int64, k),
+		minE:    make([]int64, k),
+		movd:    make([]int64, k),
+		msgs:    make([]int64, k),
 	}
 	buildTopology(r)
 	copy(r.x, initial)
@@ -356,11 +357,14 @@ func (a *actorState) phaseRound(t int) {
 	r := a.r
 	offsets, arcs, mate := r.offsets, r.arcs, r.mate
 	alpha := a.op.AlphaView()
-	prev := r.netFlow
+	prev, sched := r.netFlow, r.scheduled
+	record := sched != nil
 	second := a.kind == core.SOS && a.flowsValid
 	beta := a.beta
 	sigma := beta - 1
-	needRNG := !r.rounder.Deterministic()
+	seed := randx.Mix2(r.seed, uint64(t))
+	sr := &a.sr
+	vals, out, arcIdx := sr.Vals, sr.Out, sr.Arcs
 	lo, hi, arcLo := a.lo, a.hi, a.arcLo
 	for i := lo; i < hi; i++ {
 		zi := r.z[i]
@@ -373,29 +377,27 @@ func (a *actorState) phaseRound(t int) {
 			} else {
 				zj = a.haloZ[arc-arcLo]
 			}
-			grad := alpha[arc] * (zi - zj)
+			grad := alpha.At(arc) * (zi - zj)
 			y := grad
 			if second {
 				y = sigma*float64(prev[arc]) + beta*grad
 			}
-			r.scheduled[arc] = y
+			if record {
+				sched[arc] = y
+			}
 			if y > 0 {
-				a.vals[cnt] = y
-				a.outBuf[cnt] = 0
-				a.arcIdx[cnt] = int32(arc)
+				vals[cnt] = y
+				arcIdx[cnt] = int32(arc)
 				cnt++
 			}
 		}
 		if cnt == 0 {
 			continue
 		}
-		if needRNG {
-			a.pcg.Seed(randx.PCGPair3(r.seed, uint64(t), uint64(i)))
-		}
-		r.rounder.RoundNode(a.vals[:cnt], a.outBuf[:cnt], a.rng)
+		sr.Round(seed, i, cnt)
 		for k := 0; k < cnt; k++ {
-			arc := int(a.arcIdx[k])
-			f := a.outBuf[k]
+			arc := int(arcIdx[k])
+			f := out[k]
 			r.flowOut[arc] = f
 			if j := int(arcs[arc]); j >= lo && j < hi {
 				r.flowIn[mate[arc]] += f
@@ -522,19 +524,16 @@ func (r *Runtime) broadcast(m ctlMsg) {
 
 // Inject implements core.Injector: the deltas are broadcast and each actor
 // applies its own node range. Not a round — flow memory, round counter and
-// rounding streams untouched.
+// rounding streams untouched. An injection that would overflow a load or a
+// token counter is rejected before the broadcast, with nothing applied
+// (see core.CheckInject).
 func (r *Runtime) Inject(deltas []int64) error {
-	if len(deltas) != len(r.x) {
-		return fmt.Errorf("%w: %d deltas for %d nodes", core.ErrBadConfig, len(deltas), len(r.x))
+	added, removed, err := core.CheckInject(r.x, deltas, r.injectedTokens, r.removedTokens)
+	if err != nil {
+		return err
 	}
 	r.broadcast(ctlMsg{op: ctlInject, deltas: deltas})
-	for _, dv := range deltas {
-		if dv > 0 {
-			r.injectedTokens += dv
-		} else {
-			r.removedTokens -= dv
-		}
-	}
+	r.injectedTokens, r.removedTokens = added, removed
 	return nil
 }
 
@@ -630,8 +629,21 @@ func (r *Runtime) LoadsInt() []int64 { return r.x }
 // core.Discrete's Flows).
 func (r *Runtime) Flows() []int64 { return r.netFlow }
 
+// RecordScheduledFlows turns recording of the per-arc scheduled flows Ŷ
+// on or off, as core.Discrete.RecordScheduledFlows does: off by default,
+// the same step results either way. Call it between rounds.
+func (r *Runtime) RecordScheduledFlows(on bool) {
+	switch {
+	case on && r.scheduled == nil:
+		r.scheduled = make([]float64, len(r.netFlow))
+	case !on:
+		r.scheduled = nil
+	}
+}
+
 // ScheduledFlows returns the per-arc continuous scheduled flows Ŷ of the
-// last completed round (read-only view), i.e. what the rounding saw.
+// last completed round (read-only view), i.e. what the rounding saw. It is
+// nil unless RecordScheduledFlows is on.
 func (r *Runtime) ScheduledFlows() []float64 { return r.scheduled }
 
 // Rounder returns the rounding scheme in use.
@@ -686,8 +698,7 @@ func (r *Runtime) MemoryFootprint() int64 {
 		int64(len(r.scheduled))*8 + int64(len(r.z))*8
 	for s := range r.act {
 		a := &r.act[s]
-		bytes += int64(len(a.haloZ))*8 + int64(len(a.vals))*8 + int64(len(a.outBuf))*8 +
-			int64(len(a.arcIdx))*4 + int64(len(a.lag))*8
+		bytes += int64(len(a.haloZ))*8 + a.sr.MemoryFootprint() + int64(len(a.lag))*8
 	}
 	for _, l := range r.links {
 		bytes += int64(len(l.sendNodes)+len(l.cutArcs)+len(l.recvArcs)+len(l.slot)) * 4

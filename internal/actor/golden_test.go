@@ -147,6 +147,8 @@ func runGoldenPair(t *testing.T, p timelinePair, op *spectral.Operator, sp1, sp2
 	if startKind == core.FOS {
 		flip = core.SOS
 	}
+	p.ref.RecordScheduledFlows(true)
+	p.act.RecordScheduledFlows(true)
 	for round := 0; round < goldenRounds; round++ {
 		p.applyTimelineEvent(t, round, op, sp1, sp2, flip, deltas)
 		p.ref.Step()
@@ -179,7 +181,22 @@ func runGoldenPair(t *testing.T, p timelinePair, op *spectral.Operator, sp1, sp2
 // golden dynamics timeline bit-identically across actor counts 1, 2 and 7
 // for all rounders × FOS/SOS on heterogeneous speeds.
 func TestGoldenActorBarrierMatchesDiscrete(t *testing.T) {
-	g := goldenGraph(t)
+	runGoldenActor(t, goldenGraph(t))
+}
+
+// TestGoldenActorNonRegularMatchesDiscrete runs the same suite on a 64×64
+// grid, whose per-arc α (degrees 2–4) takes the operator's per-arc path
+// where the torus takes the uniform one.
+func TestGoldenActorNonRegularMatchesDiscrete(t *testing.T) {
+	g, err := graph.Grid2D(64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runGoldenActor(t, g)
+}
+
+// runGoldenActor is the barrier golden suite on g.
+func runGoldenActor(t *testing.T, g *graph.Graph) {
 	n := g.NumNodes()
 	sp1, sp2 := goldenSpeeds(t, n)
 	x0 := goldenInitial(n)

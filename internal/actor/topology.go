@@ -1,8 +1,6 @@
 package actor
 
 import (
-	"math/rand/v2"
-
 	"diffusionlb/internal/core"
 	"diffusionlb/internal/spectral"
 )
@@ -123,13 +121,9 @@ type actorState struct {
 	lag   []int     // per in-link staleness lag of the current round
 	haloZ []float64 // per owned arc: the head's z when the head is remote
 
-	// Rounding scratch, sized maxDeg; the PCG is re-seeded per node from
-	// (seed, round, node) exactly like the shared-memory engine.
-	vals   []float64
-	outBuf []int64
-	arcIdx []int32
-	pcg    *rand.PCG
-	rng    *rand.Rand
+	// Rounding scratch and dispatch, the same as a shared-memory engine
+	// shard's: the PCG is re-seeded per node from (seed, round, node).
+	sr core.ShardRounder
 }
 
 // buildTopology populates r.act and r.links from the layout: one actor per
@@ -147,16 +141,11 @@ func buildTopology(r *Runtime) {
 	for s := 0; s < k; s++ {
 		lo, hi := lay.NodeRange(s)
 		alo, ahi := lay.ArcRange(s)
-		pcg := rand.NewPCG(0, 0)
 		r.act[s] = actorState{
 			r: r, id: s, lo: lo, hi: hi, arcLo: alo, arcHi: ahi,
 			op: r.op, kind: r.kind, beta: r.beta,
-			haloZ:  make([]float64, ahi-alo),
-			vals:   make([]float64, maxDeg),
-			outBuf: make([]int64, maxDeg),
-			arcIdx: make([]int32, maxDeg),
-			pcg:    pcg,
-			rng:    rand.New(pcg),
+			haloZ: make([]float64, ahi-alo),
+			sr:    core.NewShardRounder(r.rounder, maxDeg),
 		}
 	}
 	offsets, arcs, mate := r.offsets, r.arcs, r.mate

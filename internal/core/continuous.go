@@ -51,12 +51,12 @@ type Continuous struct {
 
 	// Round-scoped parameters for the pass methods (see Discrete for why
 	// these are fields and the passes are method values bound once).
-	stepSp     *hetero.Speeds //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepAlpha  []float64      //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepZ      []float64      //lint:allow checkpointsync round-scoped alias of c.z (or c.x on homogeneous speeds)
-	stepSecond bool           //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepBeta   float64        //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepSigma  float64        //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepSp     *hetero.Speeds     //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepAlpha  spectral.ArcAlphas //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepZ      []float64          //lint:allow checkpointsync round-scoped alias of c.z (or c.x on homogeneous speeds)
+	stepSecond bool               //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepBeta   float64            //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepSigma  float64            //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
 
 	passZFn    func(s, lo, hi int)
 	passFlowFn func(s, lo, hi int)
@@ -131,7 +131,7 @@ func (c *Continuous) passFlowApply(s, lo, hi int) {
 		zi := z[i]
 		var outSum, sentSum float64
 		for a := offsets[i]; a < offsets[i+1]; a++ {
-			grad := alpha[a] * (zi - z[arcs[a]])
+			grad := alpha.At(int(a)) * (zi - z[arcs[a]])
 			f := grad
 			if second {
 				f = sigma*flows[a] + beta*grad

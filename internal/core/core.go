@@ -37,6 +37,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"diffusionlb/internal/graph"
 	"diffusionlb/internal/hetero"
@@ -265,6 +266,40 @@ func retargetCheck(op *spectral.Operator, nodes, arcs int) error {
 			ErrBadConfig, op.Graph().NumNodes(), op.Graph().NumArcs(), nodes, arcs)
 	}
 	return nil
+}
+
+// CheckInject validates an injection before any state changes: deltas must
+// have one entry per node, and neither any load x_i + δ_i nor the
+// cumulative injected (added) and removed token counters may leave int64.
+// It returns the counters as they stand after the injection; callers
+// apply the deltas and install the counters only when err is nil, so a
+// rejected injection leaves the process untouched.
+func CheckInject(loads, deltas []int64, added, removed int64) (newAdded, newRemoved int64, err error) {
+	if len(deltas) != len(loads) {
+		return added, removed, fmt.Errorf("%w: %d deltas for %d nodes", ErrBadConfig, len(deltas), len(loads))
+	}
+	for i, dv := range deltas {
+		x := loads[i]
+		switch {
+		case dv > 0:
+			if x > math.MaxInt64-dv {
+				return added, removed, fmt.Errorf("%w: injecting %d at node %d overflows its load %d", ErrBadConfig, dv, i, x)
+			}
+			if added > math.MaxInt64-dv {
+				return added, removed, fmt.Errorf("%w: injecting %d at node %d overflows the injected-token counter", ErrBadConfig, dv, i)
+			}
+			added += dv
+		case dv < 0:
+			if x < math.MinInt64-dv {
+				return added, removed, fmt.Errorf("%w: removing %d at node %d overflows its load %d", ErrBadConfig, dv, i, x)
+			}
+			if removed > math.MaxInt64+dv { // also catches dv == MinInt64, since removed >= 0
+				return added, removed, fmt.Errorf("%w: removing %d at node %d overflows the removed-token counter", ErrBadConfig, dv, i)
+			}
+			removed -= dv
+		}
+	}
+	return added, removed, nil
 }
 
 // graphOf is a small helper used across the engine implementations.

@@ -294,6 +294,7 @@ func TestDiscreteFlowAntisymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	proc.RecordScheduledFlows(true)
 	mate := op.Graph().MateIndex()
 	for round := 0; round < 30; round++ {
 		proc.Step()

@@ -199,10 +199,12 @@ func (c *CumulativeDiscrete) SetBeta(beta float64) error { return c.cont.SetBeta
 
 // Inject implements Injector: deltas are applied to both the discrete loads
 // and the internally simulated continuous reference, so the cumulative-flow
-// tracking keeps measuring the same trajectory.
+// tracking keeps measuring the same trajectory. An injection that would
+// overflow a load, or whose per-call arrival or departure total leaves
+// int64, is rejected with nothing applied (see CheckInject).
 func (c *CumulativeDiscrete) Inject(deltas []int64) error {
-	if len(deltas) != len(c.x) {
-		return fmt.Errorf("%w: %d deltas for %d nodes", ErrBadConfig, len(deltas), len(c.x))
+	if _, _, err := CheckInject(c.x, deltas, 0, 0); err != nil {
+		return err
 	}
 	if err := c.cont.Inject(deltas); err != nil {
 		return err

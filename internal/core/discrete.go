@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/randx"
@@ -46,7 +45,9 @@ type Discrete struct {
 	//lbvet:doublebuffer exact IEEE antisymmetry makes arc ownership unique: the owning node writes both directions of its arcs exactly once per round
 	//lint:allow checkpointsync holds the stale previous buffer at round boundaries; Step promotes it into flows
 	flowsNext []int64
-	scheduled []float64 //lint:allow checkpointsync scratch Ŷ(t) per arc, recomputed by passRound before any read
+	// scheduled is Ŷ(t) per arc, allocated and written only while
+	// RecordScheduledFlows is on (nil otherwise).
+	scheduled []float64 //lint:allow checkpointsync diagnostic record of the last round's Ŷ, rewritten by every Step while recording
 	z         []float64 //lint:allow checkpointsync scratch x_i/s_i, recomputed by passZ before any read
 	// flowsValid mirrors Continuous: SOS memory validity.
 	flowsValid bool
@@ -65,7 +66,7 @@ type Discrete struct {
 
 	// Per-shard scratch and reduction slots, sized by the layout's shard
 	// count at construction so Step never allocates.
-	sh   []discreteShard
+	sh   []ShardRounder
 	minT []int64 //lint:allow checkpointsync per-round reduction slot, overwritten by every Step
 	minE []int64 //lint:allow checkpointsync per-round reduction slot, overwritten by every Step
 	movd []int64 //lint:allow checkpointsync per-round reduction slot, overwritten by every Step
@@ -75,30 +76,17 @@ type Discrete struct {
 	// passes run. Keeping the passes as method values bound once at
 	// construction (instead of closures rebuilt per Step) is what makes the
 	// steady-state step path allocation-free.
-	stepSp      *hetero.Speeds //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepAlpha   []float64      //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepHomog   bool           //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepSecond  bool           //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepBeta    float64        //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepSigma   float64        //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepRound   uint64         //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepNeedRNG bool           //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepSp     *hetero.Speeds     //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepAlpha  spectral.ArcAlphas //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepHomog  bool               //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepSecond bool               //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepBeta   float64            //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepSigma  float64            //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepSeed   uint64             //lint:allow checkpointsync round-scoped parameter: randx.Mix2(seed, round), set by Step before the passes run
 
 	passZFn     func(s, lo, hi int)
 	passRoundFn func(s, lo, hi int)
 	passApplyFn func(s, lo, hi int)
-}
-
-// discreteShard is one shard's private scratch: compaction buffers for a
-// node's positive scheduled flows and a reusable RNG. The PCG is re-seeded
-// per node from (seed, round, node), so streams stay deterministic while
-// avoiding a generator allocation per node per round.
-type discreteShard struct {
-	vals []float64
-	out  []int64
-	arcs []int32
-	pcg  *rand.PCG
-	rng  *rand.Rand
 }
 
 var _ Process = (*Discrete)(nil)
@@ -136,23 +124,15 @@ func NewDiscrete(cfg Config, rounder Rounder, seed uint64, initial []int64) (*Di
 		x:         make([]int64, n),
 		flows:     make([]int64, g.NumArcs()),
 		flowsNext: make([]int64, g.NumArcs()),
-		scheduled: make([]float64, g.NumArcs()),
 		z:         make([]float64, n),
-		sh:        make([]discreteShard, k),
+		sh:        make([]ShardRounder, k),
 		minT:      make([]int64, k),
 		minE:      make([]int64, k),
 		movd:      make([]int64, k),
 		msgs:      make([]int64, k),
 	}
 	for s := 0; s < k; s++ {
-		pcg := rand.NewPCG(0, 0)
-		d.sh[s] = discreteShard{
-			vals: make([]float64, maxDeg),
-			out:  make([]int64, maxDeg),
-			arcs: make([]int32, maxDeg),
-			pcg:  pcg,
-			rng:  rand.New(pcg),
-		}
+		d.sh[s] = NewShardRounder(rounder, maxDeg)
 	}
 	d.passZFn = d.passZ
 	d.passRoundFn = d.passRound
@@ -188,24 +168,25 @@ func (d *Discrete) passZ(_, lo, hi int) {
 func (d *Discrete) passRound(s, lo, hi int) {
 	offsets, arcs, mate := d.offsets, d.arcs, d.mate
 	alpha := d.stepAlpha
-	prev, next := d.flows, d.flowsNext
+	prev, next, sched := d.flows, d.flowsNext, d.scheduled
+	record := sched != nil
 	second, sigma, beta := d.stepSecond, d.stepSigma, d.stepBeta
-	sc := &d.sh[s]
-	vals, out, arcIdx := sc.vals, sc.out, sc.arcs
-	pcg, rng := sc.pcg, sc.rng
+	sr := &d.sh[s]
+	vals, out, arcIdx := sr.Vals, sr.Out, sr.Arcs
 	for i := lo; i < hi; i++ {
 		zi := d.z[i]
 		cnt := 0
 		for a := offsets[i]; a < offsets[i+1]; a++ {
-			grad := alpha[a] * (zi - d.z[arcs[a]])
+			grad := alpha.At(int(a)) * (zi - d.z[arcs[a]])
 			y := grad
 			if second {
 				y = sigma*float64(prev[a]) + beta*grad
 			}
-			d.scheduled[a] = y
+			if record {
+				sched[a] = y
+			}
 			if y > 0 {
 				vals[cnt] = y
-				out[cnt] = 0
 				arcIdx[cnt] = a
 				cnt++
 			} else if y == 0 && int32(i) < arcs[a] {
@@ -216,10 +197,7 @@ func (d *Discrete) passRound(s, lo, hi int) {
 		if cnt == 0 {
 			continue
 		}
-		if d.stepNeedRNG {
-			pcg.Seed(randx.PCGPair3(d.seed, d.stepRound, uint64(i)))
-		}
-		d.rounder.RoundNode(vals[:cnt], out[:cnt], rng)
+		sr.Round(d.stepSeed, i, cnt)
 		for k := 0; k < cnt; k++ {
 			a := arcIdx[k]
 			next[a] = out[k]
@@ -275,8 +253,7 @@ func (d *Discrete) Step() {
 	d.stepSecond = d.kind == SOS && d.flowsValid
 	d.stepBeta = d.beta
 	d.stepSigma = d.beta - 1
-	d.stepRound = uint64(d.round)
-	d.stepNeedRNG = !d.rounder.Deterministic()
+	d.stepSeed = randx.Mix2(d.seed, uint64(d.round))
 
 	d.lay.Run(d.workers, d.passZFn)
 	d.lay.Run(d.workers, d.passRoundFn)
@@ -347,8 +324,24 @@ func (d *Discrete) LoadsInt() []int64 { return d.x }
 // (read-only view; zero before the first round).
 func (d *Discrete) Flows() []int64 { return d.flows }
 
+// RecordScheduledFlows turns recording of the per-arc scheduled flows Ŷ
+// on or off. Recording costs an 8 B/arc array written every round, so it
+// is off by default; the step results are the same either way. Turning it
+// on allocates the array, which the next Step fills; turning it off frees
+// it.
+func (d *Discrete) RecordScheduledFlows(on bool) {
+	switch {
+	case on && d.scheduled == nil:
+		d.scheduled = make([]float64, len(d.flows))
+	case !on:
+		d.scheduled = nil
+	}
+}
+
 // ScheduledFlows returns the per-arc continuous scheduled flows Ŷ of the
-// last completed round (read-only view), i.e. what the rounding saw.
+// last completed round (read-only view), i.e. what the rounding saw. It is
+// nil unless RecordScheduledFlows is on, and all zero until a Step has run
+// with recording on.
 func (d *Discrete) ScheduledFlows() []float64 { return d.scheduled }
 
 // Rounder returns the rounding scheme in use.
@@ -358,16 +351,15 @@ func (d *Discrete) Rounder() Rounder { return d.rounder }
 func (d *Discrete) Seed() uint64 { return d.seed }
 
 // MemoryFootprint returns the resident bytes of the process's own arrays
-// (loads, both flow buffers, scheduled flows, normalized loads, per-shard
-// scratch) — the engine share of the bytes/node the scale benchmarks
-// report; graph and operator storage are accounted by their own
-// MemoryFootprint methods.
+// (loads, both flow buffers, the recorded scheduled flows when on,
+// normalized loads, per-shard scratch) — the engine share of the
+// bytes/node the scale benchmarks report; graph and operator storage are
+// accounted by their own MemoryFootprint methods.
 func (d *Discrete) MemoryFootprint() int64 {
 	bytes := int64(len(d.x))*8 + int64(len(d.flows)+len(d.flowsNext))*8 +
 		int64(len(d.scheduled))*8 + int64(len(d.z))*8
 	for s := range d.sh {
-		sc := &d.sh[s]
-		bytes += int64(len(sc.vals))*8 + int64(len(sc.out))*8 + int64(len(sc.arcs))*4
+		bytes += d.sh[s].MemoryFootprint()
 	}
 	bytes += int64(len(d.minT)+len(d.minE)+len(d.movd)+len(d.msgs)) * 8
 	return bytes
@@ -528,18 +520,17 @@ func (d *Discrete) SetBeta(beta float64) error {
 // (batch arrivals, hotspot bursts, departures). Injection is not a round —
 // the SOS flow memory, round counter and rounding streams are untouched —
 // so dynamic runs keep the engine's determinism and checkpoint guarantees.
+// An injection that would overflow a load or a token counter is rejected
+// with nothing applied (see CheckInject).
 func (d *Discrete) Inject(deltas []int64) error {
-	if len(deltas) != len(d.x) {
-		return fmt.Errorf("%w: %d deltas for %d nodes", ErrBadConfig, len(deltas), len(d.x))
+	added, removed, err := CheckInject(d.x, deltas, d.injectedTokens, d.removedTokens)
+	if err != nil {
+		return err
 	}
 	for i, dv := range deltas {
 		d.x[i] += dv
-		if dv > 0 {
-			d.injectedTokens += dv
-		} else {
-			d.removedTokens -= dv
-		}
 	}
+	d.injectedTokens, d.removedTokens = added, removed
 	return nil
 }
 

@@ -162,7 +162,39 @@ func eqBits(t *testing.T, round int, what string, got, want []float64) {
 // timeline, for every rounder, both start kinds, across 1, 2 and 7 shards
 // (the reference runs the old 4-chunk grouping).
 func TestGoldenDiscreteMatchesPreRefactor(t *testing.T) {
-	g := goldenGraph(t)
+	runGoldenDiscrete(t, goldenGraph(t), true)
+}
+
+// TestGoldenDiscreteNonRegularMatchesPreRefactor runs the same suite on a
+// 64×64 grid: its degrees 2–4 give per-arc α under the max-degree rule,
+// while the torus's uniform α is stored as one scalar, so the pair covers
+// both operator representations against the per-arc reference copy.
+func TestGoldenDiscreteNonRegularMatchesPreRefactor(t *testing.T) {
+	runGoldenDiscrete(t, goldenGrid(t), false)
+}
+
+// goldenGrid is the non-regular golden graph: a 64×64 grid, n = 4096.
+func goldenGrid(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := graph.Grid2D(64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// requireAlphaForm fails unless op stores α in the expected form, so each
+// golden graph really exercises the representation it is meant to.
+func requireAlphaForm(t *testing.T, op *spectral.Operator, uniform bool) {
+	t.Helper()
+	if _, ok := op.AlphaView().Uniform(); ok != uniform {
+		t.Fatalf("operator α uniform = %v, want %v", ok, uniform)
+	}
+}
+
+// runGoldenDiscrete is the Discrete golden suite on g; uniform says which
+// α representation g's operator must use.
+func runGoldenDiscrete(t *testing.T, g *graph.Graph, uniform bool) {
 	n := g.NumNodes()
 	sp1, sp2 := goldenSpeeds(t, n)
 	x0 := goldenInitial(n)
@@ -180,6 +212,7 @@ func TestGoldenDiscreteMatchesPreRefactor(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					requireAlphaForm(t, op, uniform)
 					ref, err := newRefDiscrete(Config{Op: op, Kind: kind, Beta: 1.5, Workers: 4}, rounder, seed, x0)
 					if err != nil {
 						t.Fatal(err)
@@ -188,6 +221,7 @@ func TestGoldenDiscreteMatchesPreRefactor(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					d.RecordScheduledFlows(true)
 					runGoldenTimeline(t, op, sp1, sp2, kind, goldenHooks{
 						step:   func() { ref.Step(); d.Step() },
 						inject: func(dl []int64) error { return firstErr(ref.Inject(dl), d.Inject(dl)) },
@@ -262,7 +296,17 @@ func TestGoldenDiscreteHomogeneousMatchesPreRefactor(t *testing.T) {
 // bit for bit: float loads and flows match after every round of the
 // timeline for both start kinds across 1, 2 and 7 shards.
 func TestGoldenContinuousMatchesPreRefactor(t *testing.T) {
-	g := goldenGraph(t)
+	runGoldenContinuous(t, goldenGraph(t))
+}
+
+// TestGoldenContinuousNonRegularMatchesPreRefactor is the continuous suite
+// on the per-arc-α grid.
+func TestGoldenContinuousNonRegularMatchesPreRefactor(t *testing.T) {
+	runGoldenContinuous(t, goldenGrid(t))
+}
+
+// runGoldenContinuous is the Continuous golden suite on g.
+func runGoldenContinuous(t *testing.T, g *graph.Graph) {
 	n := g.NumNodes()
 	sp1, sp2 := goldenSpeeds(t, n)
 	spH := hetero.Homogeneous(n)
@@ -374,9 +418,10 @@ func firstErr(errs ...error) error {
 }
 
 // TestStepSteadyStateAllocFree pins the tentpole's allocation contract: a
-// steady-state Step of every engine allocates nothing. Sequential configs
-// run the shards inline, so the assertion is exact (multi-worker Steps pay
-// only the goroutine spawns of shard.Run, covered by its own tests).
+// steady-state Step of every engine allocates nothing, for Discrete with
+// Ŷ recording both off and on. Sequential configs run the shards inline,
+// so the assertion is exact (multi-worker Steps pay only the goroutine
+// spawns of shard.Run, covered by its own tests).
 func TestStepSteadyStateAllocFree(t *testing.T) {
 	g, err := graph.Torus2D(32, 32)
 	if err != nil {
@@ -398,11 +443,12 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 		}
 		cfg := Config{Op: op, Kind: SOS, Beta: 1.5, Workers: 1}
 		switch name {
-		case "discrete":
+		case "discrete", "discrete/record":
 			d, err := NewDiscrete(cfg, RandomizedRounder{}, 3, x0)
 			if err != nil {
 				t.Fatal(err)
 			}
+			d.RecordScheduledFlows(name == "discrete/record")
 			return d
 		case "continuous":
 			c, err := NewContinuous(cfg, x0f)
@@ -418,7 +464,7 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 			return c
 		}
 	}
-	for _, name := range []string{"discrete", "continuous", "cumulative"} {
+	for _, name := range []string{"discrete", "discrete/record", "continuous", "cumulative"} {
 		t.Run(name, func(t *testing.T) {
 			p := build(t, name)
 			// Warm up past the FOS start round so the SOS recurrence is live.

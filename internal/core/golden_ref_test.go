@@ -7,7 +7,8 @@ package core
 // measured against. They intentionally keep every quirk of the old path —
 // the private α copy refreshed by Retarget, the chunk-indexed scratch
 // sized by refNumChunks, the separate scheduled/rounding passes over a
-// single flows buffer — so any numerical divergence introduced by the
+// single flows buffer, the per-node PCGPair3 reseed and the *rand.Rand
+// randomized rounding — so any numerical divergence introduced by the
 // fused kernels shows up as a test failure, not a silent drift.
 
 import (
@@ -195,7 +196,11 @@ func (d *refDiscrete) Step() {
 			if needRNG {
 				pcg.Seed(randx.PCGPair3(seed, round, uint64(i)))
 			}
-			d.rounder.RoundNode(vals[:cnt], out[:cnt], rng)
+			if _, ok := d.rounder.(RandomizedRounder); ok {
+				refRandomizedRoundNode(vals[:cnt], out[:cnt], rng)
+			} else {
+				d.rounder.RoundNode(vals[:cnt], out[:cnt], rng)
+			}
 			for k := 0; k < cnt; k++ {
 				a := arcIdx[k]
 				d.flows[a] = out[k]
@@ -506,4 +511,43 @@ func (c *refCumulative) Inject(deltas []int64) error {
 		c.x[i] += dv
 	}
 	return nil
+}
+
+// refRandomizedRoundNode is RandomizedRounder.RoundNode as it stood before
+// the engines drew straight from the shard PCG and reused the floor pass's
+// fractional parts: rng.Float64 per candidate token, fractions recomputed
+// in the cumulative scan.
+func refRandomizedRoundNode(yhat []float64, out []int64, rng *rand.Rand) {
+	var r float64
+	last := -1
+	for k, v := range yhat {
+		fl := math.Floor(v)
+		out[k] = int64(fl)
+		if f := v - fl; f > 0 {
+			r += f
+			last = k
+		}
+	}
+	if r <= 0 {
+		return
+	}
+	ceilR := math.Ceil(r)
+	tokens := int(ceilR)
+	for b := 0; b < tokens; b++ {
+		u := rng.Float64() * ceilR
+		if u >= r {
+			continue
+		}
+		dst := last
+		var cum float64
+		for k := 0; k < last; k++ {
+			v := yhat[k]
+			cum += v - math.Floor(v)
+			if u < cum {
+				dst = k
+				break
+			}
+		}
+		out[dst]++
+	}
 }

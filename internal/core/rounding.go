@@ -3,13 +3,16 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+
+	"diffusionlb/internal/randx"
 )
 
 // Rounder converts the positive scheduled flows of one node into integer
-// token counts. The engine calls RoundNode once per node per round with the
-// compacted vector yhat of strictly positive scheduled flows Ŷ_ij(t) on the
-// node's outgoing arcs; the implementation writes the integer flow for each
-// entry into out (same length, pre-zeroed).
+// token counts. The engines call RoundNode once per node per round (through
+// ShardRounder, which runs RandomizedRounder's algorithm directly instead)
+// with the compacted vector yhat of strictly positive scheduled flows
+// Ŷ_ij(t) on the node's outgoing arcs; the implementation writes the
+// integer flow for each entry into out (same length, pre-zeroed).
 //
 // Implementations must be stateless: all randomness comes from rng, which
 // the engine derives deterministically from (seed, round, node).
@@ -34,16 +37,34 @@ type RandomizedRounder struct{}
 
 var _ Rounder = RandomizedRounder{}
 
-// RoundNode implements Rounder.
-//
-//lbvet:hotpath called once per node per round by the discrete pass
+// RoundNode implements Rounder. The discrete engines do not call it: they
+// run the same algorithm through ShardRounder's PCG path.
 func (RandomizedRounder) RoundNode(yhat []float64, out []int64, rng *rand.Rand) {
+	var buf [32]float64
+	frac := buf[:]
+	if len(yhat) > len(buf) {
+		frac = make([]float64, len(yhat))
+	}
+	roundRandomized(yhat, frac[:len(yhat)], out, nil, rng)
+}
+
+// roundRandomized is the one implementation of RandomizedRounder. The
+// floor pass writes each flow's fractional part into frac (which may alias
+// yhat) for the cumulative scan to reuse. Each candidate token's uniform
+// comes from pcg when it is non-nil, else from rng; both draw
+// float64(bits<<11>>11)/2⁵³ from the next 64 source bits, so the two
+// sources give identical results on identical streams.
+//
+//lbvet:hotpath once per node per round in both discrete engines
+func roundRandomized(yhat, frac []float64, out []int64, pcg *rand.PCG, rng *rand.Rand) {
 	var r float64
 	last := -1 // index of the last arc with a positive fractional part
 	for k, v := range yhat {
 		fl := math.Floor(v)
 		out[k] = int64(fl)
-		if f := v - fl; f > 0 {
+		f := v - fl
+		frac[k] = f
+		if f > 0 {
 			r += f
 			last = k
 		}
@@ -56,7 +77,12 @@ func (RandomizedRounder) RoundNode(yhat []float64, out []int64, rng *rand.Rand) 
 	for b := 0; b < tokens; b++ {
 		// u ~ U[0, ⌈r⌉); u < r selects a destination by cumulative
 		// fractional mass, u >= r keeps the token at the node.
-		u := rng.Float64() * ceilR
+		var u float64
+		if pcg != nil {
+			u = randx.Float64(pcg) * ceilR
+		} else {
+			u = rng.Float64() * ceilR
+		}
 		if u >= r {
 			continue
 		}
@@ -68,8 +94,7 @@ func (RandomizedRounder) RoundNode(yhat []float64, out []int64, rng *rand.Rand) 
 		dst := last
 		var cum float64
 		for k := 0; k < last; k++ {
-			v := yhat[k]
-			cum += v - math.Floor(v)
+			cum += frac[k]
 			if u < cum {
 				dst = k
 				break
@@ -175,4 +200,66 @@ func RounderByName(name string) (Rounder, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// ShardRounder is one shard's rounding scratch and dispatch, shared by the
+// shared-memory engine and the actor runtime. The kernel compacts a node's
+// positive scheduled flows into Vals (with their arc indices in Arcs) and
+// calls Round, which writes the integer flows into Out.
+//
+// Randomness comes from a PCG re-seeded per node from (seed, round, node),
+// so streams stay deterministic for every shard count while no generator
+// is allocated per node per round. The paper's RandomizedRounder draws
+// straight from that PCG and keeps its fractional parts in Vals; every
+// other rounder goes through RoundNode.
+type ShardRounder struct {
+	Vals []float64
+	Out  []int64
+	Arcs []int32
+
+	rounder    Rounder
+	randomized bool // rounder is RandomizedRounder: the devirtualized path
+	needRNG    bool
+	pcg        *rand.PCG
+	rng        *rand.Rand
+}
+
+// NewShardRounder returns rounding scratch for nodes of up to maxDeg arcs.
+func NewShardRounder(r Rounder, maxDeg int) ShardRounder {
+	_, randomized := r.(RandomizedRounder)
+	pcg := rand.NewPCG(0, 0)
+	return ShardRounder{
+		Vals:       make([]float64, maxDeg),
+		Out:        make([]int64, maxDeg),
+		Arcs:       make([]int32, maxDeg),
+		rounder:    r,
+		randomized: randomized,
+		needRNG:    !r.Deterministic(),
+		pcg:        pcg,
+		rng:        rand.New(pcg),
+	}
+}
+
+// Round rounds the first cnt compacted flows of node into Out[:cnt]. prefix
+// is randx.Mix2(seed, round), hashed once per round.
+//
+//lbvet:hotpath once per node per round in both discrete engines
+func (sr *ShardRounder) Round(prefix uint64, node, cnt int) {
+	vals, out := sr.Vals[:cnt], sr.Out[:cnt]
+	if sr.needRNG {
+		sr.pcg.Seed(randx.PCGPair3Suffix(prefix, uint64(node)))
+	}
+	if sr.randomized {
+		roundRandomized(vals, vals, out, sr.pcg, nil)
+		return
+	}
+	for k := range out {
+		out[k] = 0
+	}
+	sr.rounder.RoundNode(vals, out, sr.rng)
+}
+
+// MemoryFootprint returns the resident bytes of the scratch buffers.
+func (sr *ShardRounder) MemoryFootprint() int64 {
+	return int64(len(sr.Vals))*8 + int64(len(sr.Out))*8 + int64(len(sr.Arcs))*4
 }

@@ -256,6 +256,7 @@ func VerifyLemma2(op *spectral.Operator, kind core.Kind, beta float64,
 	if err != nil {
 		return Lemma2Result{}, err
 	}
+	disc.RecordScheduledFlows(true)
 	x0f := make([]float64, n)
 	for i, v := range x0 {
 		x0f[i] = float64(v)

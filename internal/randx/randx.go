@@ -64,13 +64,15 @@ func Mix2(a, b uint64) uint64 {
 	return splitMix64(h ^ b)
 }
 
-// Mix3 is the three-word Mix fast path; see Mix2.
-func Mix3(a, b, c uint64) uint64 {
-	h := uint64(0x8bad_f00d_dead_beef)
-	h = splitMix64(h ^ a)
-	h = splitMix64(h ^ b)
-	return splitMix64(h ^ c)
-}
+// Mix3 is the three-word Mix fast path; see Mix2. Its first two words
+// hash to Mix2(a, b), so a caller that mixes many c under one (a, b) — the
+// rounding and workload paths, one c per node of a round — can hash the
+// prefix once and finish each word with Mix3Suffix.
+func Mix3(a, b, c uint64) uint64 { return Mix3Suffix(Mix2(a, b), c) }
+
+// Mix3Suffix completes a Mix3 whose first two words were hashed into
+// prefix = Mix2(a, b): Mix3Suffix(Mix2(a, b), c) == Mix3(a, b, c).
+func Mix3Suffix(prefix, c uint64) uint64 { return splitMix64(prefix ^ c) }
 
 // PCGPair2 is the allocation-free PCGPair for (masterSeed, coord) streams.
 func PCGPair2(a, b uint64) (uint64, uint64) {
@@ -80,9 +82,21 @@ func PCGPair2(a, b uint64) (uint64, uint64) {
 
 // PCGPair3 is the allocation-free PCGPair for (masterSeed, round, node)
 // streams, the discrete engine's per-node rounding seed shape.
-func PCGPair3(a, b, c uint64) (uint64, uint64) {
-	s := Mix3(a, b, c)
+func PCGPair3(a, b, c uint64) (uint64, uint64) { return PCGPair3Suffix(Mix2(a, b), c) }
+
+// PCGPair3Suffix is PCGPair3 with its (masterSeed, round) prefix hashed
+// once per round: PCGPair3Suffix(Mix2(a, b), c) == PCGPair3(a, b, c), at
+// three SplitMix64 steps per node instead of five.
+func PCGPair3Suffix(prefix, c uint64) (uint64, uint64) {
+	s := Mix3Suffix(prefix, c)
 	return splitMix64(s), splitMix64(s ^ 0x5851_f42d_4c95_7f2d)
+}
+
+// Float64 draws a uniform float64 in [0, 1) from pcg — exactly what
+// rand.New(pcg).Float64() returns, without the *rand.Rand wrapper's
+// interface dispatch per draw.
+func Float64(pcg *rand.PCG) float64 {
+	return float64(pcg.Uint64()<<11>>11) / (1 << 53)
 }
 
 // Perm fills dst with a uniformly random permutation of 0..len(dst)-1 using

@@ -2,6 +2,7 @@ package randx
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -142,4 +143,33 @@ func TestFixedArityFastPathsMatchVariadic(t *testing.T) {
 			t.Errorf("PCGPair3(%v) = (%d,%d), PCGPair = (%d,%d)", c, a3, b3, av, bv)
 		}
 	}
+}
+
+// FuzzPCGPair3Split pins the per-round prefix split the rounding and
+// workload hot paths seed from: hashing (a, b) once and finishing each c
+// with the suffix must give exactly PCGPair3(a, b, c) and the variadic
+// PCGPair(a, b, c), and Float64 over the seeded PCG must draw exactly what
+// rand.New(pcg).Float64() draws.
+func FuzzPCGPair3Split(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(0))
+	f.Add(uint64(42), uint64(17), uint64(1<<20-1))
+	f.Add(uint64(0xdead_beef), uint64(1<<63), uint64(0xffff_ffff_ffff_ffff))
+	f.Fuzz(func(t *testing.T, a, b, c uint64) {
+		prefix := Mix2(a, b)
+		if got, want := Mix3Suffix(prefix, c), Mix(a, b, c); got != want {
+			t.Fatalf("Mix3Suffix(Mix2(%d,%d), %d) = %d, Mix = %d", a, b, c, got, want)
+		}
+		s1, s2 := PCGPair3Suffix(prefix, c)
+		w1, w2 := PCGPair3(a, b, c)
+		v1, v2 := PCGPair(a, b, c)
+		if s1 != w1 || s2 != w2 || s1 != v1 || s2 != v2 {
+			t.Fatalf("split (%d,%d), PCGPair3 (%d,%d), PCGPair (%d,%d)", s1, s2, w1, w2, v1, v2)
+		}
+		fast, ref := rand.NewPCG(s1, s2), rand.New(rand.NewPCG(s1, s2))
+		for k := 0; k < 4; k++ {
+			if got, want := Float64(fast), ref.Float64(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("draw %d: Float64 = %g, rand.Float64 = %g", k, got, want)
+			}
+		}
+	})
 }

@@ -12,6 +12,7 @@ package scalebench
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"time"
 
@@ -330,11 +331,13 @@ func benchOne(g *graph.Graph, kind core.Kind, rtSpec string, telemetryOn bool, c
 		proc.Step()
 	}
 
-	// Quiesce the collector before the baseline read: with Repeat > 1 the
-	// previous run's garbage is still being collected, and a background GC
-	// cycle finishing inside the timed window shows up as phantom mallocs
-	// on an otherwise allocation-free path.
+	// Quiesce the collector before the baseline read and hold it off
+	// across the timed window: with Repeat > 1 the previous run's garbage
+	// is still being collected, and a GC cycle inside the window shows up
+	// as phantom mallocs on an otherwise allocation-free path (and as
+	// collector time in the throughput).
 	runtime.GC()
+	gcPercent := debug.SetGCPercent(-1)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now() //lint:allow nodeterminism benchmark harness: wall-clock throughput is the measurement, not engine state
@@ -352,6 +355,7 @@ func benchOne(g *graph.Graph, kind core.Kind, rtSpec string, telemetryOn bool, c
 	}
 	elapsed := time.Since(start) //lint:allow nodeterminism benchmark harness: wall-clock throughput is the measurement, not engine state
 	runtime.ReadMemStats(&m1)
+	debug.SetGCPercent(gcPercent)
 
 	bytes := g.MemoryFootprint() + op.MemoryFootprint() + proc.MemoryFootprint()
 	sec := elapsed.Seconds()

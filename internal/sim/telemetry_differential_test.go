@@ -136,7 +136,12 @@ func runTimeline(t *testing.T, runtime string, reg *telemetry.Registry, tr *tele
 	var proc core.Process
 	switch runtime {
 	case "discrete":
-		proc, err = core.NewDiscrete(core.Config{Op: op, Kind: core.SOS, Beta: 1.7, Workers: 2}, nil, seed, x0)
+		var d *core.Discrete
+		d, err = core.NewDiscrete(core.Config{Op: op, Kind: core.SOS, Beta: 1.7, Workers: 2}, nil, seed, x0)
+		if d != nil {
+			d.RecordScheduledFlows(true)
+		}
+		proc = d
 	default:
 		opts, aErr := actor.FromSpec(runtime)
 		if aErr != nil {
@@ -146,6 +151,7 @@ func runTimeline(t *testing.T, runtime string, reg *telemetry.Registry, tr *tele
 		rt, err = actor.New(op, core.SOS, 1.7, nil, seed, x0, opts)
 		if rt != nil {
 			rt.SetTelemetry(telemetry.NewActorProbe(reg, tr, opts.Actors, true))
+			rt.RecordScheduledFlows(true)
 		}
 		proc = rt
 	}

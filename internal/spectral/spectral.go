@@ -79,8 +79,11 @@ func (ga GammaDegreeAlpha) Alpha(g *graph.Graph, _, _ int) float64 {
 func (ga GammaDegreeAlpha) String() string { return fmt.Sprintf("alpha=1/(%g*d)", ga.Gamma) }
 
 // Operator is the diffusion matrix M = I − L S⁻¹ of a graph with speeds,
-// stored implicitly: α per arc plus the speed vector. It supports fast
-// matrix-vector products with M and Mᵀ and densification for small graphs.
+// stored implicitly: the arc coefficients α plus the speed vector. When
+// every arc carries the same α — any rule on a regular graph, and
+// ConstantAlpha everywhere — the operator keeps that one value instead of
+// a per-arc array (see ArcAlphas). It supports fast matrix-vector products
+// with M and Mᵀ and densification for small graphs.
 //
 // Concurrency: all read operations (products, Dense, SecondEigenvalue) are
 // safe to call concurrently. Reweight mutates the operator in place and
@@ -90,7 +93,7 @@ func (ga GammaDegreeAlpha) String() string { return fmt.Sprintf("alpha=1/(%g*d)"
 type Operator struct {
 	g      *graph.Graph
 	speeds *hetero.Speeds
-	alpha  []float64 // per arc, symmetric across mates
+	alpha  ArcAlphas
 	rule   AlphaRule
 	// rowAlphaSum[i] = Σ_{j∈N(i)} α_ij, cached for the diagonal.
 	rowAlphaSum []float64
@@ -123,7 +126,9 @@ func NewOperator(g *graph.Graph, speeds *hetero.Speeds, rule AlphaRule) (*Operat
 	}
 	n := g.NumNodes()
 	offsets, arcs := g.Offsets(), g.Arcs()
-	alpha := make([]float64, len(arcs))
+	// α starts out uniform; the per-arc array is materialized at the first
+	// arc whose α differs from arc 0's.
+	var alpha ArcAlphas
 	rowSum := make([]float64, n)
 	for i := 0; i < n; i++ {
 		for a := offsets[i]; a < offsets[i+1]; a++ {
@@ -132,7 +137,18 @@ func NewOperator(g *graph.Graph, speeds *hetero.Speeds, rule AlphaRule) (*Operat
 			if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("spectral: alpha(%d,%d)=%g invalid", i, j, v)
 			}
-			alpha[a] = v
+			switch {
+			case a == 0:
+				alpha.uniform = v
+			case alpha.perArc == nil && v != alpha.uniform: //lint:allow floateq the uniform form must reproduce every arc's α bit for bit
+				alpha.perArc = make([]float64, len(arcs))
+				for b := range alpha.perArc[:a] {
+					alpha.perArc[b] = alpha.uniform
+				}
+			}
+			if alpha.perArc != nil {
+				alpha.perArc[a] = v
+			}
 			rowSum[i] += v
 		}
 	}
@@ -162,34 +178,64 @@ func (op *Operator) Speeds() *hetero.Speeds { return op.speeds }
 func (op *Operator) Rule() AlphaRule { return op.rule }
 
 // AlphaArc returns α for the arc at position a in the CSR arc array.
-func (op *Operator) AlphaArc(a int) float64 { return op.alpha[a] }
+func (op *Operator) AlphaArc(a int) float64 { return op.alpha.At(a) }
 
-// Alphas returns a copy of the per-arc α coefficients, so callers can never
-// corrupt the operator's internal storage by mutating the result. Hot loops
-// that run every round should copy once (AlphasInto) and reuse the buffer,
-// as the engines do.
+// Alphas returns the per-arc α coefficients in a fresh slice (one entry per
+// arc, also for a uniform operator), so callers can never corrupt the
+// operator's internal storage by mutating the result.
 func (op *Operator) Alphas() []float64 {
-	out := make([]float64, len(op.alpha))
-	copy(out, op.alpha)
+	out := make([]float64, op.g.NumArcs())
+	op.alpha.fill(out)
 	return out
 }
 
-// AlphasInto copies the per-arc α coefficients into dst, which must have
-// length NumArcs — the allocation-free form of Alphas for per-round use.
+// AlphasInto writes the per-arc α coefficients into dst, which must have
+// length NumArcs — the allocation-free form of Alphas.
 func (op *Operator) AlphasInto(dst []float64) error {
-	if len(dst) != len(op.alpha) {
-		return fmt.Errorf("spectral: AlphasInto: %d slots for %d arcs", len(dst), len(op.alpha))
+	if len(dst) != op.g.NumArcs() {
+		return fmt.Errorf("spectral: AlphasInto: %d slots for %d arcs", len(dst), op.g.NumArcs())
 	}
-	copy(dst, op.alpha)
+	op.alpha.fill(dst)
 	return nil
 }
 
-// AlphaView exposes the per-arc α coefficients as a read-only view — the
-// zero-copy hot-loop access the engines use. α is a function of the graph
-// alone (an AlphaRule never sees speeds), so the view stays valid across
-// Reweight; callers must not modify it. External callers that cannot
-// guarantee read-only use should take Alphas() instead.
-func (op *Operator) AlphaView() []float64 { return op.alpha }
+// AlphaView exposes the α coefficients without copying — the hot-loop
+// access the engines use, reading each arc's α through ArcAlphas.At. α is a
+// function of the graph alone (an AlphaRule never sees speeds), so the view
+// stays valid across Reweight; callers must not modify the slice behind
+// it. Callers that need a plain per-arc array take Alphas() instead.
+func (op *Operator) AlphaView() ArcAlphas { return op.alpha }
+
+// ArcAlphas is the storage of an operator's α coefficients: one value when
+// every arc carries the same α, otherwise one value per CSR arc. The
+// uniform form saves the 8 B/arc array and its memory traffic in every
+// product and engine round.
+type ArcAlphas struct {
+	perArc  []float64 // nil when every arc carries uniform; symmetric across mates
+	uniform float64
+}
+
+// At returns α for the arc at position a in the CSR arc array.
+func (v ArcAlphas) At(a int) float64 {
+	if v.perArc == nil {
+		return v.uniform
+	}
+	return v.perArc[a]
+}
+
+// Uniform returns the common α and true when every arc carries it.
+func (v ArcAlphas) Uniform() (float64, bool) { return v.uniform, v.perArc == nil }
+
+// fill writes every arc's α into dst (length NumArcs).
+func (v ArcAlphas) fill(dst []float64) {
+	if v.perArc != nil {
+		copy(dst, v.perArc)
+		return
+	}
+	for a := range dst {
+		dst[a] = v.uniform
+	}
+}
 
 // Reweight swaps the operator's speed vector in place (nil means
 // homogeneous), revalidating that every diagonal entry of M stays
@@ -275,10 +321,11 @@ func (op *Operator) ReweightPar(speeds *hetero.Speeds, lay *shard.Layout, worker
 }
 
 // MemoryFootprint returns the resident bytes of the operator's own storage
-// (the per-arc α array and the cached row sums); the graph is accounted
-// separately by graph.Graph.MemoryFootprint, since it is typically shared.
+// (the per-arc α array, absent when α is uniform, and the cached row sums);
+// the graph is accounted separately by graph.Graph.MemoryFootprint, since
+// it is typically shared.
 func (op *Operator) MemoryFootprint() int64 {
-	return int64(len(op.alpha)+len(op.rowAlphaSum)) * 8
+	return int64(len(op.alpha.perArc)+len(op.rowAlphaSum)) * 8
 }
 
 // Clone returns an independent operator over the same (immutable) graph
@@ -289,11 +336,14 @@ func (op *Operator) Clone() *Operator {
 	cp := &Operator{
 		g:           op.g,
 		speeds:      op.speeds,
-		alpha:       make([]float64, len(op.alpha)),
+		alpha:       op.alpha,
 		rule:        op.rule,
 		rowAlphaSum: make([]float64, len(op.rowAlphaSum)),
 	}
-	copy(cp.alpha, op.alpha)
+	if op.alpha.perArc != nil {
+		cp.alpha.perArc = make([]float64, len(op.alpha.perArc))
+		copy(cp.alpha.perArc, op.alpha.perArc)
+	}
 	copy(cp.rowAlphaSum, op.rowAlphaSum)
 	op.mu.Lock()
 	cp.lamValid, cp.lamOpts, cp.lam, cp.lamSigned = op.lamValid, op.lamOpts, op.lam, op.lamSigned
@@ -318,7 +368,7 @@ func (op *Operator) MulVec(x, dst []float64) []float64 {
 		var out float64
 		for a := offsets[i]; a < offsets[i+1]; a++ {
 			j := arcs[a]
-			out += op.alpha[a] * (zi - x[j]/op.speeds.Of(int(j)))
+			out += op.alpha.At(int(a)) * (zi - x[j]/op.speeds.Of(int(j)))
 		}
 		dst[i] = x[i] - out
 	}
@@ -339,7 +389,7 @@ func (op *Operator) MulVecT(y, dst []float64) []float64 {
 	for j := 0; j < n; j++ {
 		var acc float64
 		for a := offsets[j]; a < offsets[j+1]; a++ {
-			acc += op.alpha[a] * (y[j] - y[arcs[a]])
+			acc += op.alpha.At(int(a)) * (y[j] - y[arcs[a]])
 		}
 		dst[j] = y[j] - acc/op.speeds.Of(j)
 	}
@@ -351,12 +401,13 @@ func (op *Operator) MulVecT(y, dst []float64) []float64 {
 // dst_i = x_i − (1/√s_i) Σ_j α_ij (x_i/√s_i − x_j/√s_j).
 func (op *Operator) mulVecSym(x, dst, invSqrtS []float64) {
 	offsets, arcs := op.g.Offsets(), op.g.Arcs()
+	alpha := op.alpha
 	for i := range dst {
 		xi := x[i] * invSqrtS[i]
 		var acc float64
 		for a := offsets[i]; a < offsets[i+1]; a++ {
 			j := arcs[a]
-			acc += op.alpha[a] * (xi - x[j]*invSqrtS[j])
+			acc += alpha.At(int(a)) * (xi - x[j]*invSqrtS[j])
 		}
 		dst[i] = x[i] - acc*invSqrtS[i]
 	}
@@ -373,7 +424,7 @@ func (op *Operator) Dense() *numeric.Dense {
 			j := int(arcs[a])
 			// Column-stochastic orientation: load moves j -> i with weight
 			// α_ij/s_j, so M_ij = α_ij/s_j (and x(t+1) = M x(t)).
-			m.Set(i, j, op.alpha[a]/op.speeds.Of(j))
+			m.Set(i, j, op.alpha.At(int(a))/op.speeds.Of(j))
 		}
 	}
 	return m
@@ -411,7 +462,7 @@ func (op *Operator) columnSumsRange(dst []float64, lo, hi int) {
 		sj := op.speeds.Of(j)
 		acc := 1 - op.rowAlphaSum[j]/sj
 		for a := offsets[j]; a < offsets[j+1]; a++ {
-			acc += op.alpha[mate[a]] / sj
+			acc += op.alpha.At(int(mate[a])) / sj
 		}
 		dst[j] = acc
 	}

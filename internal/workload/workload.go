@@ -85,15 +85,10 @@ func (s seededRNG) at(seed uint64, coords ...uint64) *rand.Rand {
 	return s.rng
 }
 
-// at2 and at3 are the allocation-free fast paths for the per-round and
-// per-(round, node) streams; they match at() bit for bit.
+// at2 is the allocation-free fast path for the per-round stream; it
+// matches at() bit for bit.
 func (s seededRNG) at2(seed, a uint64) *rand.Rand {
 	s.pcg.Seed(randx.PCGPair2(seed, a))
-	return s.rng
-}
-
-func (s seededRNG) at3(seed, a, b uint64) *rand.Rand {
-	s.pcg.Seed(randx.PCGPair3(seed, a, b))
 	return s.rng
 }
 
@@ -201,10 +196,16 @@ func (p *Poisson) Deltas(round int, loads Loads, out []int64) bool {
 	if p.Rate <= 0 || (p.Until > 0 && round > p.Until) {
 		return false
 	}
+	// Node i draws from the (seed, round, i) stream; the (seed, round)
+	// prefix of its seed and the rate's chunk split are shared by every
+	// node of the round.
+	chunks := splitPoisson(p.Rate)
+	prefix := randx.Mix2(p.seed, uint64(round))
+	pcg := p.rng.pcg
 	any := false
 	for i := range out {
-		k := poissonDraw(p.rng.at3(p.seed, uint64(round), uint64(i)), p.Rate)
-		if k > 0 {
+		pcg.Seed(randx.PCGPair3Suffix(prefix, uint64(i)))
+		if k := chunks.draw(pcg); k > 0 {
 			out[i] += k
 			any = true
 		}
@@ -212,23 +213,45 @@ func (p *Poisson) Deltas(round int, loads Loads, out []int64) bool {
 	return any
 }
 
-// poissonDraw samples Poisson(rate) with Knuth's product-of-uniforms
-// algorithm, splitting large rates into chunks so exp(-rate) never
-// underflows. The draw consumes a deterministic, rate-dependent number of
-// uniforms from rng.
-func poissonDraw(rng *rand.Rand, rate float64) int64 {
+// poissonChunks is a rate split for Knuth's product-of-uniforms Poisson
+// sampler: n chunks, each drawn by multiplying uniforms until the product
+// falls to e^−mean. Every chunk but the last has mean 16 (threshold lFull);
+// the last holds the remainder (threshold lLast). Chunking keeps e^−rate
+// from underflowing.
+type poissonChunks struct {
+	n            int
+	lFull, lLast float64
+}
+
+// splitPoisson splits rate into chunks of at most 16, peeling full chunks
+// off the front; a rate that is not positive gets no chunks.
+func splitPoisson(rate float64) poissonChunks {
 	const chunk = 16.0
+	c := poissonChunks{lFull: math.Exp(-chunk)}
+	if !(rate > 0) {
+		return c
+	}
+	for rate > chunk {
+		rate -= chunk
+		c.n++
+	}
+	c.n++
+	c.lLast = math.Exp(-rate)
+	return c
+}
+
+// draw samples Poisson(rate) from pcg. It consumes a deterministic,
+// rate-dependent number of uniforms.
+func (c poissonChunks) draw(pcg *rand.PCG) int64 {
 	var k int64
-	for rate > 0 {
-		step := rate
-		if step > chunk {
-			step = chunk
+	for j := 0; j < c.n; j++ {
+		l := c.lFull
+		if j == c.n-1 {
+			l = c.lLast
 		}
-		rate -= step
-		l := math.Exp(-step)
 		p := 1.0
 		for {
-			p *= rng.Float64()
+			p *= randx.Float64(pcg)
 			if p <= l {
 				break
 			}

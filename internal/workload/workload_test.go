@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -331,3 +332,49 @@ func TestSeedStreamsMatchRandxContract(t *testing.T) {
 
 // boot is a tiny helper so the test reads naturally.
 func boot() seededRNG { return newSeededRNG() }
+
+// refPoissonDraw is the per-node Poisson sampler as it stood before the
+// chunk split and the seed prefix were hoisted out of Poisson.Deltas'
+// node loop: a fresh chunk split and e^−step per node, drawing through a
+// *rand.Rand.
+func refPoissonDraw(rng *rand.Rand, rate float64) int64 {
+	const chunk = 16.0
+	var k int64
+	for rate > 0 {
+		step := rate
+		if step > chunk {
+			step = chunk
+		}
+		rate -= step
+		l := math.Exp(-step)
+		p := 1.0
+		for {
+			p *= rng.Float64()
+			if p <= l {
+				break
+			}
+			k++
+		}
+	}
+	return k
+}
+
+// TestPoissonMatchesPerNodeReference pins Poisson.Deltas bit for bit to
+// the per-node reference sampler on (seed, round, node) streams, for
+// rates below, at and across the 16-token chunk boundary.
+func TestPoissonMatchesPerNodeReference(t *testing.T) {
+	const n = 257
+	loads := make([]int64, n)
+	for _, rate := range []float64{0.3, 2.5, 15.999, 16, 16.5, 32, 47.25, 900} {
+		p := NewPoisson(rate, 0, 11)
+		for _, round := range []int{1, 2, 99} {
+			out := deltasAt(t, p, round, loads)
+			for i := range out {
+				rng := rand.New(rand.NewPCG(randx.PCGPair(11, uint64(round), uint64(i))))
+				if want := refPoissonDraw(rng, rate); out[i] != want {
+					t.Fatalf("rate %g round %d node %d: %d, reference %d", rate, round, i, out[i], want)
+				}
+			}
+		}
+	}
+}
