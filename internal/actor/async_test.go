@@ -1,7 +1,9 @@
 package actor_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"testing"
 
@@ -114,6 +116,65 @@ func TestAsyncDeterministicReplay(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// digest fingerprints the whole trace: per-round loads and in-flight load,
+// the final flows, the transient minimum, the negative-transient round
+// count and the traffic counters.
+func (tr asyncTrace) digest() string {
+	h := fnv.New64a()
+	put := func(v int64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	for round, loads := range tr.loads {
+		for _, v := range loads {
+			put(v)
+		}
+		put(tr.inFlight[round])
+	}
+	for _, v := range tr.flows {
+		put(v)
+	}
+	minSet := int64(0)
+	if tr.minSet {
+		minSet = 1
+	}
+	for _, v := range []int64{tr.minT, minSet, int64(tr.negR), tr.tokens, tr.msgs} {
+		put(v)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestAsyncGoldenDigests pins the bounded-staleness semantics themselves,
+// not just their replayability: each actor count × staleness bound × scheme
+// cell of the golden timeline must reproduce a recorded digest, so a change
+// to how late flux is credited, how the transient minimum is taken under
+// staleness, or what the SOS memory holds on a cut arc fails here.
+func TestAsyncGoldenDigests(t *testing.T) {
+	want := map[string]string{
+		"actor:2,stale=1/FOS": "3b622aa2bdd53d02",
+		"actor:2,stale=1/SOS": "d4813e8028e1cc8e",
+		"actor:2,stale=3/FOS": "6b10687b58071667",
+		"actor:2,stale=3/SOS": "45911425a165f7af",
+		"actor:3,stale=1/FOS": "bfde20cadb59a6c4",
+		"actor:3,stale=1/SOS": "138b7d93ffdd181e",
+		"actor:3,stale=3/FOS": "8116b7915908a192",
+		"actor:3,stale=3/SOS": "d9f0d9a5d4c04d00",
+	}
+	for _, actors := range []int{2, 3} {
+		for _, stale := range []int{1, 3} {
+			for _, kind := range []core.Kind{core.FOS, core.SOS} {
+				name := fmt.Sprintf("%s/%s", actor.Options{Actors: actors, Stale: stale}.Name(), kind)
+				t.Run(name, func(t *testing.T) {
+					if got := runAsyncTimeline(t, actors, stale, kind).digest(); got != want[name] {
+						t.Errorf("digest %s, want %s", got, want[name])
+					}
+				})
+			}
 		}
 	}
 }
