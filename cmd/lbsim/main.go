@@ -75,6 +75,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -525,10 +526,11 @@ func freeFormRun(sys *diffusionlb.System, cfg freeFormConfig) error {
 		}
 	}
 	var reopt *diffusionlb.BetaReopt
+	if !(cfg.betaReopt >= 0) || math.IsInf(cfg.betaReopt, 1) {
+		return fmt.Errorf("-betareopt %g must be finite and >= 0 (0 = off)", cfg.betaReopt)
+	}
 	if cfg.betaReopt > 0 {
 		reopt = &diffusionlb.BetaReopt{Threshold: cfg.betaReopt}
-	} else if cfg.betaReopt < 0 {
-		return fmt.Errorf("-betareopt %g must be >= 0 (0 = off)", cfg.betaReopt)
 	}
 	runner := &diffusionlb.Runner{Proc: proc, Every: every, Adaptive: policy, Metrics: ms,
 		Workload: wl, Environment: env, Scenario: scn, BetaReopt: reopt}

@@ -156,6 +156,13 @@ func TestRunErrors(t *testing.T) {
 		{"-graph", "torus2d:4x4", "-workload", "tsunami:9"},
 		{"-graph", "torus2d:4x4", "-workload", "burst:5:10:99"},
 		{"-sweep", "-graph", "cycle:8", "-workload", "hotspot:0:5"},
+		// Non-finite β overrides and re-opt thresholds are errors, not a
+		// diverging run or a silent "off".
+		{"-sweep", "-graph", "torus2d:8x8", "-scheme", "sos", "-beta", "NaN", "-rounds", "5"},
+		{"-sweep", "-graph", "torus2d:8x8", "-scheme", "sos", "-beta", "Inf", "-rounds", "5"},
+		{"-graph", "torus2d:4x4", "-scheme", "sos", "-betareopt", "NaN", "-rounds", "5"},
+		{"-graph", "torus2d:4x4", "-scheme", "sos", "-betareopt", "Inf", "-rounds", "5"},
+		{"-graph", "torus2d:4x4", "-scheme", "sos", "-betareopt", "-Inf", "-rounds", "5"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

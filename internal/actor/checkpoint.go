@@ -45,34 +45,12 @@ type LinkState struct {
 // counter-based rounding and staleness streams (seeded by round number),
 // Restore yields a bit-identical continuation.
 func (r *Runtime) Checkpoint() Checkpoint {
-	cp := Checkpoint{
-		Core: core.Checkpoint{
-			Round:              r.round,
-			Kind:               r.kind,
-			FlowsValid:         r.flowsValid,
-			Loads:              make([]int64, len(r.x)),
-			Flows:              make([]int64, len(r.netFlow)),
-			MinTransient:       r.minTransient,
-			MinTransientSet:    r.minTransientSet,
-			NegTransientRounds: r.negTransientRounds,
-			MinEndOfRound:      r.minEndOfRound,
-			MinEndSet:          r.minEndSet,
-			TokensMoved:        r.tokensMoved,
-			EdgeMessages:       r.edgeMessages,
-			InjectedTokens:     r.injectedTokens,
-			RemovedTokens:      r.removedTokens,
-			Retargets:          r.retargetCount,
-			Beta:               r.beta,
-		},
-		Stale: r.stale,
-	}
-	copy(cp.Core.Loads, r.x)
-	copy(cp.Core.Flows, r.netFlow)
-	r.tel.Checkpoint(r.round, len(r.act))
+	cp := Checkpoint{Core: r.DiscreteState.Checkpoint(), Stale: r.stale}
+	r.tel.Checkpoint(r.Round(), len(r.act))
 	if r.stale == 0 {
 		return cp
 	}
-	cp.Bounds = r.lay.Bounds()
+	cp.Bounds = r.ShardLayout().Bounds()
 	cp.Links = make([]LinkState, len(r.links))
 	for i, l := range r.links {
 		ls := LinkState{
@@ -100,21 +78,12 @@ func (r *Runtime) Checkpoint() Checkpoint {
 // checkpoints require the same partition and staleness bound, validated
 // against Bounds and Stale.
 func (r *Runtime) Restore(cp Checkpoint) error {
-	if len(cp.Core.Loads) != len(r.x) || len(cp.Core.Flows) != len(r.netFlow) {
-		return fmt.Errorf("%w: checkpoint shape %d/%d does not match runtime %d/%d",
-			core.ErrBadConfig, len(cp.Core.Loads), len(cp.Core.Flows), len(r.x), len(r.netFlow))
-	}
-	switch cp.Core.Kind {
-	case core.FOS, core.SOS:
-	default:
-		return fmt.Errorf("%w: checkpoint has invalid kind %d", core.ErrBadConfig, int(cp.Core.Kind))
-	}
 	if cp.Stale != r.stale {
 		return fmt.Errorf("%w: checkpoint staleness %d does not match runtime staleness %d",
 			core.ErrBadConfig, cp.Stale, r.stale)
 	}
 	if r.stale > 0 {
-		if !slices.Equal(cp.Bounds, r.lay.Bounds()) {
+		if !slices.Equal(cp.Bounds, r.ShardLayout().Bounds()) {
 			return fmt.Errorf("%w: async checkpoint partition does not match the runtime's %d-actor layout",
 				core.ErrBadConfig, len(r.act))
 		}
@@ -138,32 +107,16 @@ func (r *Runtime) Restore(cp Checkpoint) error {
 			}
 		}
 	}
-	if cp.Core.Beta != 0 {
-		if cp.Core.Beta <= 0 || cp.Core.Beta >= 2 {
-			return fmt.Errorf("%w: checkpoint beta %g outside (0,2)", core.ErrBadConfig, cp.Core.Beta)
-		}
-		r.beta = cp.Core.Beta
+	// The core restore validates the rest before it changes anything, so a
+	// rejected checkpoint leaves the runtime untouched.
+	if err := r.DiscreteState.Restore(cp.Core); err != nil {
+		return err
 	}
-	r.round = cp.Core.Round
-	r.kind = cp.Core.Kind
-	r.flowsValid = cp.Core.FlowsValid
-	copy(r.x, cp.Core.Loads)
-	copy(r.netFlow, cp.Core.Flows)
-	r.minTransient = cp.Core.MinTransient
-	r.minTransientSet = cp.Core.MinTransientSet
-	r.negTransientRounds = cp.Core.NegTransientRounds
-	r.minEndOfRound = cp.Core.MinEndOfRound
-	r.minEndSet = cp.Core.MinEndSet
-	r.tokensMoved = cp.Core.TokensMoved
-	r.edgeMessages = cp.Core.EdgeMessages
-	r.injectedTokens = cp.Core.InjectedTokens
-	r.removedTokens = cp.Core.RemovedTokens
-	r.retargetCount = cp.Core.Retargets
 	for i := range r.act {
 		a := &r.act[i]
-		a.kind = r.kind
-		a.beta = r.beta
-		a.flowsValid = r.flowsValid
+		a.kind = cp.Core.Kind
+		a.beta = r.Beta()
+		a.flowsValid = cp.Core.FlowsValid
 		a.ctl = a.ctl[:0]
 	}
 	for i, l := range r.links {
@@ -181,11 +134,11 @@ func (r *Runtime) Restore(cp Checkpoint) error {
 			// Barrier mode: every round applies its own flux, so the
 			// applied counter is derived from the round counter and no
 			// flux is in flight.
-			l.applied = r.round - 1
+			l.applied = cp.Core.Round - 1
 			l.sentTotal = 0
 			l.appliedTotal = 0
 		}
 	}
-	r.tel.Restore(r.round, len(r.act))
+	r.tel.Restore(cp.Core.Round, len(r.act))
 	return nil
 }

@@ -59,7 +59,7 @@ type link struct {
 	fRing    [][]int64
 	fRingSum []int64
 
-	// applied is the newest flux version credited into flowIn
+	// applied is the newest flux version credited to the receiver's flows
 	// (receiver-owned; −1 before the first round).
 	applied int
 	// Conservation accounting: sentTotal accumulates every token handed to
@@ -97,17 +97,19 @@ type ctlMsg struct {
 // actorState is the private state of one actor: the node and arc ranges it
 // owns, its link endpoints, its control mailbox and its own view of the
 // control-plane parameters (operator, scheme, β) — actors never read
-// another actor's parameters, only messages.
+// another actor's parameters, only messages. Its rounding scratch and
+// reduction slots are its shard's in the runtime's core.DiscreteState.
 type actorState struct {
-	r            *Runtime
-	id           int
-	lo, hi       int // owned node range
-	arcLo, arcHi int // owned arc range
+	r      *Runtime
+	id     int
+	lo, hi int // owned node range
+	arcLo  int // first owned arc
 
-	// Control-plane parameters, installed by drainCtl between rounds. They
-	// start as copies of the runtime-level mirrors and stay in sync with
-	// them because every mutation goes through a Runtime method that both
-	// broadcasts and updates the mirror.
+	// Control-plane parameters, installed by drainCtl between rounds and
+	// handed to the shared kernels by core.DiscreteState.BeginRound. They
+	// start as copies of the runtime's state and stay in sync with it
+	// because every mutation goes through a Runtime method that both
+	// updates the state and broadcasts.
 	op         *spectral.Operator
 	kind       core.Kind
 	beta       float64
@@ -120,10 +122,6 @@ type actorState struct {
 
 	lag   []int     // per in-link staleness lag of the current round
 	haloZ []float64 // per owned arc: the head's z when the head is remote
-
-	// Rounding scratch and dispatch, the same as a shared-memory engine
-	// shard's: the PCG is re-seeded per node from (seed, round, node).
-	sr core.ShardRounder
 }
 
 // buildTopology populates r.act and r.links from the layout: one actor per
@@ -132,23 +130,22 @@ type actorState struct {
 // inherit that order, so the construction — and every reduction that walks
 // it — is deterministic.
 func buildTopology(r *Runtime) {
-	lay := r.lay
+	lay := r.ShardLayout()
 	k := lay.Shards()
 	g := lay.Graph()
-	maxDeg := g.MaxDegree()
 	span := r.stale + 1
 	r.act = make([]actorState, k)
 	for s := 0; s < k; s++ {
 		lo, hi := lay.NodeRange(s)
 		alo, ahi := lay.ArcRange(s)
 		r.act[s] = actorState{
-			r: r, id: s, lo: lo, hi: hi, arcLo: alo, arcHi: ahi,
-			op: r.op, kind: r.kind, beta: r.beta,
+			r: r, id: s, lo: lo, hi: hi, arcLo: alo,
+			op: r.Operator(), kind: r.Kind(), beta: r.Beta(),
 			haloZ: make([]float64, ahi-alo),
-			sr:    core.NewShardRounder(r.rounder, maxDeg),
 		}
+		r.SetHalo(s, r.act[s].haloZ)
 	}
-	offsets, arcs, mate := r.offsets, r.arcs, r.mate
+	offsets, arcs, mate := g.Offsets(), g.Arcs(), g.MateIndex()
 	// Cut arcs of the current source shard, grouped by destination shard;
 	// tails recorded alongside so boundary node lists fall out of one scan.
 	perDstArc := make([][]int32, k)

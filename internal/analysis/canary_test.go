@@ -14,8 +14,9 @@ import (
 // TestSeededDefectCanary proves the suite catches the two defect classes the
 // new analyzers exist for, end to end through the same entry point make lint
 // uses. It copies the module into a scratch directory, plants a cross-shard
-// write in the discrete pass kernel and an fmt call in the hot Step path,
-// and requires LintModule to flag both. If a refactor ever blinds the
+// write in the discrete normalize kernel and an fmt call in the per-round
+// reduction — both in core.DiscreteState, the code the shared-memory engine
+// and the actor runtime both run — and requires LintModule to flag both. If a refactor ever blinds the
 // analyzers (a renamed kernel, a loosened scope), this fails before the race
 // does.
 func TestSeededDefectCanary(t *testing.T) {
@@ -35,18 +36,19 @@ func TestSeededDefectCanary(t *testing.T) {
 
 	// Defect 1: a cross-shard write — the pass kernel writes slot 0 of the
 	// shared normalized-load slice from every shard.
-	const sharded = "d.z[i] = float64(d.x[i])\n"
+	const sharded = "st.z[i] = float64(st.x[i])\n"
 	if !strings.Contains(patched, sharded) {
 		t.Fatalf("canary anchor %q not found in discrete.go; update the canary with the kernel", sharded)
 	}
-	patched = strings.Replace(patched, sharded, "d.z[0] = float64(d.x[i])\n", 1)
+	patched = strings.Replace(patched, sharded, "st.z[0] = float64(st.x[i])\n", 1)
 
-	// Defect 2: a hot-path allocation — formatting inside the per-round Step.
-	const stepHead = "func (d *Discrete) Step() {\n"
+	// Defect 2: a hot-path allocation — formatting inside the per-round
+	// reduction.
+	const stepHead = "func (st *DiscreteState) EndRound() {\n"
 	if !strings.Contains(patched, stepHead) {
 		t.Fatalf("canary anchor %q not found in discrete.go; update the canary with the kernel", stepHead)
 	}
-	patched = strings.Replace(patched, stepHead, stepHead+"\t_ = fmt.Sprintf(\"round %d\", d.round)\n", 1)
+	patched = strings.Replace(patched, stepHead, stepHead+"\t_ = fmt.Sprintf(\"round %d\", st.round)\n", 1)
 
 	if err := os.WriteFile(target, []byte(patched), 0o644); err != nil {
 		t.Fatal(err)

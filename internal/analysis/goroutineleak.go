@@ -7,10 +7,10 @@ import (
 )
 
 // GoroutineLeak requires every go statement in engine code to either live
-// inside a blessed fan-out primitive — shard.Run, whose WaitGroup joins
-// every goroutine before returning, or actor.Run, whose per-step actor
-// goroutines all signal a done channel the caller drains before returning
-// (parallelFor, their predecessor, stays blessed for the fixture corpus) —
+// inside a blessed fan-out primitive — shard.Run or actor.Run, each of
+// which joins every goroutine it starts on a sync.WaitGroup before
+// returning (parallelFor, their predecessor, stays blessed for the fixture
+// corpus) —
 // or run inside a function that carries a context.Context parameter,
 // making cancellation explicit.
 //
@@ -28,9 +28,9 @@ var GoroutineLeak = &driver.Analyzer{
 }
 
 // blessedFanOutPackages are the packages whose Run is an allowed fan-out
-// primitive: the shard layout's Run (WaitGroup join before return) and the
-// actor runtime's Run (every spawned actor goroutine reports to a done
-// channel the step loop drains). A Run anywhere else is an ordinary
+// primitive: the shard layout's Run and the actor runtime's Run, both of
+// which join every goroutine they start on a sync.WaitGroup before
+// returning. A Run anywhere else is an ordinary
 // function — naming a helper Run does not buy a spawn license. The
 // testdata suffix lets the passing fixture exercise the actor blessing.
 var blessedFanOutPackages = []string{

@@ -105,8 +105,8 @@ func (c Config) validate() error {
 	switch c.Kind {
 	case FOS:
 	case SOS:
-		if c.Beta <= 0 || c.Beta >= 2 {
-			return fmt.Errorf("%w: SOS needs beta in (0,2), got %g", ErrBadConfig, c.Beta)
+		if err := betaCheck(c.Beta); err != nil {
+			return err
 		}
 	default:
 		return fmt.Errorf("%w: unknown scheme kind %d", ErrBadConfig, int(c.Kind))
@@ -248,10 +248,11 @@ func layoutFor(cfg Config) *shard.Layout {
 	return shard.ForWorkers(cfg.Op.Graph(), cfg.Workers)
 }
 
-// betaCheck validates the common SetBeta precondition.
+// betaCheck is the one β check of every engine: constructors, SetBeta and
+// Restore. It is written so that NaN fails it.
 func betaCheck(beta float64) error {
-	if beta <= 0 || beta >= 2 {
-		return fmt.Errorf("%w: SetBeta needs beta in (0,2), got %g", ErrBadConfig, beta)
+	if !(beta > 0 && beta < 2) {
+		return fmt.Errorf("%w: SOS needs beta in (0,2), got %g", ErrBadConfig, beta)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -782,6 +783,62 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewContinuous(Config{Op: op, Kind: FOS}, make([]float64, 5)); err == nil {
 		t.Error("length mismatch accepted")
+	}
+}
+
+// TestBetaCheckRejectsNonFinite pins the one β check every engine shares:
+// a NaN β compares false against both bounds, so a check written as
+// "β <= 0 || β >= 2" let it through and the run diverged. Every entry point
+// — the constructors, SetBeta and Restore — must reject the same values.
+func TestBetaCheckRejectsNonFinite(t *testing.T) {
+	op := torusOp(t, 3, 3)
+	x9 := make([]int64, 9)
+	xf9 := make([]float64, 9)
+	cases := []struct {
+		beta float64
+		ok   bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{-0.5, false},
+		{0, false},
+		{2, false},
+		{1e-9, true},
+		{1.5, true},
+		{math.Nextafter(2, 0), true},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprint(tc.beta), func(t *testing.T) {
+			if err := betaCheck(tc.beta); (err == nil) != tc.ok {
+				t.Errorf("betaCheck(%g) = %v, want ok=%v", tc.beta, err, tc.ok)
+			}
+			cfg := Config{Op: op, Kind: SOS, Beta: tc.beta}
+			if _, err := NewDiscrete(cfg, nil, 1, x9); (err == nil) != tc.ok {
+				t.Errorf("NewDiscrete(β=%g) = %v, want ok=%v", tc.beta, err, tc.ok)
+			}
+			if _, err := NewContinuous(cfg, xf9); (err == nil) != tc.ok {
+				t.Errorf("NewContinuous(β=%g) = %v, want ok=%v", tc.beta, err, tc.ok)
+			}
+			d, err := NewDiscrete(Config{Op: op, Kind: SOS, Beta: 1}, nil, 1, x9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.SetBeta(tc.beta); (err == nil) != tc.ok {
+				t.Errorf("SetBeta(%g) = %v, want ok=%v", tc.beta, err, tc.ok)
+			}
+			if !tc.ok && d.Beta() != 1 {
+				t.Errorf("rejected SetBeta(%g) changed β to %g", tc.beta, d.Beta())
+			}
+			cp := d.Checkpoint()
+			cp.Beta = tc.beta
+			if tc.beta == 0 {
+				return // a zero checkpoint β means "keep the current one"
+			}
+			if err := d.Restore(cp); (err == nil) != tc.ok {
+				t.Errorf("Restore(β=%g) = %v, want ok=%v", tc.beta, err, tc.ok)
+			}
+		})
 	}
 }
 

@@ -55,7 +55,7 @@ func NewQSequence(op *spectral.Operator, kind core.Kind, beta float64) (*QSequen
 	if n > maxDenseNodes {
 		return nil, fmt.Errorf("%w: n=%d > %d", ErrTooLarge, n, maxDenseNodes)
 	}
-	if kind == core.SOS && (beta <= 0 || beta >= 2) {
+	if kind == core.SOS && !(beta > 0 && beta < 2) {
 		return nil, fmt.Errorf("divergence: SOS needs beta in (0,2), got %g", beta)
 	}
 	return &QSequence{

@@ -227,7 +227,8 @@ func (s Spec) validate() error {
 	for _, b := range s.Betas {
 		// 0 selects β_opt; core needs SOS β strictly inside (0, 2), so
 		// reject the boundary here rather than after system construction.
-		if b < 0 || b >= 2 {
+		// Written so that NaN fails it too.
+		if !(b >= 0 && b < 2) {
 			return fmt.Errorf("sweep: beta %g outside [0, 2)", b)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -116,6 +117,11 @@ func TestSpecValidation(t *testing.T) {
 		// core needs SOS beta strictly below 2; validation must reject the
 		// boundary upfront, before the expensive system build.
 		{Graphs: []string{"cycle:8"}, Schemes: []string{"sos"}, Rounds: 10, Betas: []float64{2}},
+		// NaN compares false against both bounds; it must still be
+		// rejected, as must an infinity.
+		{Graphs: []string{"cycle:8"}, Schemes: []string{"sos"}, Rounds: 10, Betas: []float64{math.NaN()}},
+		{Graphs: []string{"cycle:8"}, Schemes: []string{"sos"}, Rounds: 10, Betas: []float64{math.Inf(1)}},
+		{Graphs: []string{"cycle:8"}, Schemes: []string{"sos"}, Rounds: 10, Betas: []float64{math.Inf(-1)}},
 	}
 	for i, s := range bad {
 		if _, err := Run(context.Background(), s, Options{}); err == nil {
