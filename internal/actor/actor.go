@@ -66,8 +66,8 @@ import (
 const lagSalt = 0x6163746f724c6167 // "actorLag"
 
 // Runtime is a message-passing discrete diffusion process (see the package
-// comment). It embeds the shared-memory engine's core.DiscreteState — the
-// loads, flow memory, diagnostics, accessors and pass kernels — and adds
+// comment). It embeds core.DiscreteState — the loads, flow memory,
+// diagnostics, accessors and pass kernels core.Discrete runs too — and adds
 // the transport: links, version rings, lag draws, halos and the control
 // plane. It implements core.Process, Injector, Retargeter, BetaSetter,
 // Sharded and InFlightReporter, so the sim.Runner drives it exactly like
