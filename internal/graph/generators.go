@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -29,20 +29,7 @@ func Torus2D(w, h int) (*Graph, error) {
 	if w < 1 || h < 1 {
 		return nil, fmt.Errorf("graph: Torus2D(%d,%d): %w", w, h, ErrBadParameter)
 	}
-	edges := make([][2]int32, 0, 2*w*h)
-	id := func(x, y int) int32 { return int32(y*w + x) }
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			// Horizontal wrap edge, generated once per edge.
-			if w > 2 || (w == 2 && x == 0) {
-				edges = append(edges, orient(id(x, y), id((x+1)%w, y)))
-			}
-			if h > 2 || (h == 2 && y == 0) {
-				edges = append(edges, orient(id(x, y), id(x, (y+1)%h)))
-			}
-		}
-	}
-	return fromEdges(fmt.Sprintf("torus2d:%dx%d", w, h), w*h, edges)
+	return torus(fmt.Sprintf("torus2d:%dx%d", w, h), []int{w, h})
 }
 
 // Torus returns the d-dimensional torus with the given side lengths
@@ -52,42 +39,47 @@ func Torus(sides ...int) (*Graph, error) {
 	if len(sides) == 0 {
 		return nil, fmt.Errorf("graph: Torus needs at least one dimension: %w", ErrBadParameter)
 	}
-	n := 1
 	for _, s := range sides {
 		if s < 1 {
 			return nil, fmt.Errorf("graph: Torus side %d: %w", s, ErrBadParameter)
 		}
+	}
+	return torus(torusName(sides), sides)
+}
+
+// torus builds the torus with the given positive sides, numbering nodes
+// with the first coordinate varying fastest.
+func torus(name string, sides []int) (*Graph, error) {
+	n := 1
+	for _, s := range sides {
 		if n > (1<<30)/s {
 			return nil, ErrTooLarge
 		}
 		n *= s
 	}
-	strides := make([]int, len(sides))
-	stride := 1
-	for d, s := range sides {
-		strides[d] = stride
-		stride *= s
-	}
 	coord := make([]int, len(sides))
-	var edges [][2]int32
+	edges := make([][2]int32, 0, n*len(sides))
 	for v := 0; v < n; v++ {
-		rem := v
+		stride := 1
 		for d, s := range sides {
-			coord[d] = rem % s
-			rem /= s
+			// The wrap edge toward coordinate+1, generated once per edge.
+			if s > 2 || (s == 2 && coord[d] == 0) {
+				next := v + stride
+				if coord[d] == s-1 {
+					next -= s * stride
+				}
+				edges = append(edges, orient(int32(v), int32(next)))
+			}
+			stride *= s
 		}
-		for d, s := range sides {
-			if s == 1 {
-				continue
+		for d := range coord { // advance to the coordinates of v+1
+			if coord[d]++; coord[d] < sides[d] {
+				break
 			}
-			if s == 2 && coord[d] != 0 {
-				continue
-			}
-			next := v - coord[d]*strides[d] + ((coord[d]+1)%s)*strides[d]
-			edges = append(edges, orient(int32(v), int32(next)))
+			coord[d] = 0
 		}
 	}
-	return fromEdges(torusName(sides), n, edges)
+	return fromEdges(name, n, edges)
 }
 
 // Hypercube returns the dim-dimensional hypercube on 2^dim nodes, where nodes
@@ -118,11 +110,7 @@ func Cycle(n int) (*Graph, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("graph: Cycle(%d): %w", n, ErrBadParameter)
 	}
-	edges := make([][2]int32, 0, n)
-	for i := 0; i < n; i++ {
-		edges = append(edges, orient(int32(i), int32((i+1)%n)))
-	}
-	return fromEdges(fmt.Sprintf("cycle:%d", n), n, edges)
+	return torus(fmt.Sprintf("cycle:%d", n), []int{n})
 }
 
 // Path returns the path graph on n >= 2 nodes.
@@ -240,29 +228,60 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 		stubs[i], stubs[j] = stubs[j], stubs[i]
 	}
 
+	// Pairs are accepted in order, the first copy of an edge winning; the
+	// self-loops and later copies are bad pairs, repaired below. The edge
+	// set is kept as rows: lower endpoint u's row, rows[u*d:][:fill[u]],
+	// holds the higher endpoints of its edges, at most d as u has d stubs.
+	// Filing every pair first and then finding the copies row by row
+	// touches each row in a short loop, where checking each pair on arrival
+	// would wait on one cache miss at a time.
 	type edge = [2]int32
 	m := len(stubs) / 2
+	rows, fill := make([]int32, n*d), make([]int32, n)
+	for i := 0; i < m; i++ {
+		if e := orient(stubs[2*i], stubs[2*i+1]); e[0] != e[1] {
+			rows[int(e[0])*d+int(fill[e[0]])] = e[1]
+			fill[e[0]]++
+		}
+	}
+	later := make([]bool, n*d) // row slots filed with a later copy of an edge
+	for u := 0; u < n; u++ {
+		row, kept := rows[u*d:][:fill[u]], 0
+		for j, v := range row {
+			if slices.Contains(row[:kept], v) {
+				later[u*d+j] = true
+				continue
+			}
+			row[kept] = v
+			kept++
+		}
+		fill[u] = int32(kept)
+	}
+	filed := make([]int32, n) // per lower endpoint, the slot of its next pair
 	edges := make([]edge, 0, m)
-	seen := make(map[edge]struct{}, m)
-	var bad []edge // self-loops or duplicates, to be repaired by swaps
+	var bad []edge
 	for i := 0; i < m; i++ {
 		e := orient(stubs[2*i], stubs[2*i+1])
-		if e[0] == e[1] {
-			bad = append(bad, e)
-			continue
+		if e[0] != e[1] {
+			slot := int(e[0])*d + int(filed[e[0]])
+			filed[e[0]]++
+			if !later[slot] {
+				edges = append(edges, e)
+				continue
+			}
 		}
-		if _, dup := seen[e]; dup {
-			bad = append(bad, e)
-			continue
-		}
-		seen[e] = struct{}{}
-		edges = append(edges, e)
+		bad = append(bad, e)
 	}
 
 	// Repair pass: each bad pair (u,v) is resolved by picking a random good
 	// edge (a,b) and rewiring to (u,a), (v,b) when both are new simple edges.
 	const maxAttempts = 1 << 22
 	attempts := 0
+	row := func(u int32) []int32 { return rows[int(u)*d:][:fill[u]] }
+	add := func(e edge) {
+		rows[int(e[0])*d:][:d][fill[e[0]]] = e[1]
+		fill[e[0]]++
+	}
 	for len(bad) > 0 {
 		if attempts++; attempts > maxAttempts {
 			return nil, fmt.Errorf("graph: RandomRegular(%d,%d): repair did not converge", n, d)
@@ -275,20 +294,17 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 			a, b = b, a
 		}
 		e1, e2 := orient(u, a), orient(v, b)
-		if u == a || v == b || e1 == e2 {
-			continue
-		}
-		if _, dup := seen[e1]; dup {
-			continue
-		}
-		if _, dup := seen[e2]; dup {
+		if u == a || v == b || e1 == e2 ||
+			slices.Contains(row(e1[0]), e1[1]) || slices.Contains(row(e2[0]), e2[1]) {
 			continue
 		}
 		// Commit: replace (a,b) with (u,a) and (v,b).
-		delete(seen, edges[k])
+		r := row(edges[k][0])
+		r[slices.Index(r, edges[k][1])] = r[len(r)-1]
+		fill[edges[k][0]]--
 		edges[k] = e1
-		seen[e1] = struct{}{}
-		seen[e2] = struct{}{}
+		add(e1)
+		add(e2)
 		edges = append(edges, e2)
 		bad = bad[:len(bad)-1]
 	}
@@ -297,8 +313,8 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 
 // GeometricOptions configures RandomGeometric.
 type GeometricOptions struct {
-	// Radius is the connection radius. When 0, the paper's default
-	// (log n)^(1/4) is used — right at the connectivity threshold, so the
+	// Radius is the connection radius. When not positive (0, negative or
+	// NaN), the paper's default (log n)^(1/4) is used — right at the connectivity threshold, so the
 	// construction patches remaining small components exactly as described
 	// in Section VI-B.
 	Radius float64
@@ -315,7 +331,7 @@ func RandomGeometric(n int, seed uint64, opts GeometricOptions) (*Graph, []Point
 		return nil, nil, fmt.Errorf("graph: RandomGeometric(%d): %w", n, ErrBadParameter)
 	}
 	r := opts.Radius
-	if r <= 0 {
+	if !(r > 0) {
 		r = math.Pow(math.Log(float64(n)), 0.25)
 	}
 	side := math.Sqrt(float64(n))
@@ -325,34 +341,37 @@ func RandomGeometric(n int, seed uint64, opts GeometricOptions) (*Graph, []Point
 		pts[i] = Point{X: rng.Float64() * side, Y: rng.Float64() * side}
 	}
 
-	// Cell-bucketed neighbor search: cells of side r, check 3x3 blocks.
-	cells := int(side/r) + 1
-	bucket := make(map[[2]int][]int32, n)
-	cellOf := func(p Point) [2]int {
-		cx, cy := int(p.X/r), int(p.Y/r)
-		if cx >= cells {
-			cx = cells - 1
-		}
-		if cy >= cells {
-			cy = cells - 1
-		}
-		return [2]int{cx, cy}
-	}
+	// Cell-bucketed neighbor search: cells of side r (coarser when r is
+	// below about 1, so there are never many more cells than nodes), each
+	// node checking the 3x3 block around its own cell. A counting sort over
+	// the cells lists cell c's members, in ascending id order, at
+	// members[cellStart[c]:cellStart[c+1]].
+	cs := math.Max(r, side/math.Ceil(side))
+	cells := int(side/cs) + 1
+	cell := make([]int32, n)
+	cellStart := make([]int32, cells*cells+1)
 	for i, p := range pts {
-		c := cellOf(p)
-		bucket[c] = append(bucket[c], int32(i))
+		cx, cy := min(int(p.X/cs), cells-1), min(int(p.Y/cs), cells-1)
+		cell[i] = int32(cy*cells + cx)
+		cellStart[cell[i]]++
+	}
+	for c := 1; c < len(cellStart); c++ {
+		cellStart[c] += cellStart[c-1]
+	}
+	members := make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		cellStart[cell[i]]--
+		members[cellStart[cell[i]]] = int32(i)
 	}
 	r2 := r * r
 	var edges [][2]int32
 	for i := 0; i < n; i++ {
-		c := cellOf(pts[i])
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range bucket[[2]int{c[0] + dx, c[1] + dy}] {
-					if j <= int32(i) {
-						continue
-					}
-					if pts[i].Dist2(pts[j]) <= r2 {
+		cx, cy := int(cell[i])%cells, int(cell[i])/cells
+		for x := max(cx-1, 0); x <= min(cx+1, cells-1); x++ {
+			for y := max(cy-1, 0); y <= min(cy+1, cells-1); y++ {
+				c := y*cells + x
+				for _, j := range members[cellStart[c]:cellStart[c+1]] {
+					if j > int32(i) && pts[i].Dist2(pts[j]) <= r2 {
 						edges = append(edges, [2]int32{int32(i), j})
 					}
 				}
@@ -419,26 +438,11 @@ func connectToGiant(g *Graph, pts []Point, edges [][2]int32) (*Graph, error) {
 		}
 		edges = append(edges, orient(bu, bv))
 	}
-	// Patching is part of the deterministic (spec, seed) construction, so
-	// the patched graph keeps the canonical spec as its name.
-	return fromEdges(g.Name(), g.NumNodes(), dedupe(edges))
-}
-
-// dedupe removes duplicate undirected edges from the list.
-func dedupe(edges [][2]int32) [][2]int32 {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	out := edges[:0]
-	for i, e := range edges {
-		if i == 0 || e != edges[i-1] {
-			out = append(out, e)
-		}
-	}
-	return out
+	// Each patch edge joins a distinct component to the giant one, so it
+	// duplicates neither an existing edge nor another patch edge. Patching
+	// is part of the deterministic (spec, seed) construction, so the
+	// patched graph keeps the canonical spec as its name.
+	return fromEdges(g.Name(), g.NumNodes(), edges)
 }
 
 // Point is a 2-D coordinate used by the random geometric graph generator.
@@ -459,13 +463,16 @@ func ErdosRenyi(n int, p float64, seed uint64) (*Graph, error) {
 	}
 	rng := randx.New(seed)
 	var edges [][2]int32
-	// Geometric skipping for sparse p keeps this O(n^2 p).
+	// Geometric skipping jumps straight from one edge's linear index to the
+	// next, and the index only grows, so the row it falls in is carried
+	// forward: O(n + |E|), expected O(n + n^2 p).
 	if p == 0 {
 		return fromEdges(fmt.Sprintf("gnp-n%d-p%g", n, p), n, edges)
 	}
 	logq := math.Log(1 - p)
 	total := int64(n) * int64(n-1) / 2
 	var idx int64 = -1
+	var i, rowStart int64 // row i: the pairs (i, j > i), from linear index rowStart on
 	for {
 		var skip int64
 		if p < 1 {
@@ -475,14 +482,11 @@ func ErdosRenyi(n int, p float64, seed uint64) (*Graph, error) {
 		if idx >= total {
 			break
 		}
-		// Invert the linear index into (i, j), i < j.
-		i := int64(0)
-		rem := idx
-		for rem >= int64(n-1-int(i)) {
-			rem -= int64(n - 1 - int(i))
+		for idx-rowStart >= int64(n)-1-i {
+			rowStart += int64(n) - 1 - i
 			i++
 		}
-		j := i + 1 + rem
+		j := i + 1 + idx - rowStart
 		edges = append(edges, [2]int32{int32(i), int32(j)})
 	}
 	return fromEdges(fmt.Sprintf("gnp-n%d-p%g", n, p), n, edges)

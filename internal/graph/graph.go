@@ -101,79 +101,72 @@ func (b *Builder) Build(name string) (*Graph, error) {
 	return fromEdges(name, b.n, b.edges)
 }
 
-// fromEdges constructs the CSR arrays from a deduplicated edge list.
+// fromEdges constructs the CSR arrays from a deduplicated edge list in
+// O(n + |E|), without sorting. Every node's list is its lower neighbors
+// followed by its higher neighbors, and two walks over the nodes in
+// ascending order fill both parts already sorted:
+//
+//  1. Bucket each edge's higher endpoint under its lower endpoint, in input
+//     order.
+//  2. Walk the lower endpoints u in ascending order and append u to each
+//     of its higher neighbors' lists: the lower parts come out sorted.
+//  3. Walk the nodes v in ascending order over their (sorted) lower parts
+//     and append v to each lower neighbor u's list: the higher parts come
+//     out sorted, and the two arcs of {u, v} are written together, so the
+//     mate index falls out of the same pass.
 func fromEdges(name string, n int, edges [][2]int32) (*Graph, error) {
 	arcCount := 2 * len(edges)
 	if int64(arcCount) > int64(1)<<31-1 {
 		return nil, ErrTooLarge
 	}
-	deg := make([]int32, n)
-	for _, e := range edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
 	offsets := make([]int32, n+1)
+	bucket := make([]int32, n) // step 1's cursor; ends as the end of u's bucket
+	for _, e := range edges {
+		e = orient(e[0], e[1])
+		offsets[e[0]+1]++
+		offsets[e[1]+1]++
+		bucket[e[0]]++
+	}
+	g := &Graph{name: name, offsets: offsets}
+	var sum int32
 	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + deg[i]
+		d := int(offsets[i+1])
+		if i == 0 || d < g.minDegree {
+			g.minDegree = d
+		}
+		g.maxDegree = max(g.maxDegree, d)
+		offsets[i+1] += offsets[i]
+		sum, bucket[i] = sum+bucket[i], sum
 	}
 	neighbors := make([]int32, arcCount)
-	cursor := make([]int32, n)
-	copy(cursor, offsets[:n])
-	for _, e := range edges {
-		u, v := e[0], e[1]
-		neighbors[cursor[u]] = v
-		cursor[u]++
-		neighbors[cursor[v]] = u
-		cursor[v]++
-	}
-	// Sort each adjacency list so neighbor iteration order is deterministic
-	// and mate lookup can use binary search during construction.
-	for i := 0; i < n; i++ {
-		lo, hi := offsets[i], offsets[i+1]
-		s := neighbors[lo:hi]
-		sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	}
 	mate := make([]int32, arcCount)
-	for i := 0; i < n; i++ {
-		for a := offsets[i]; a < offsets[i+1]; a++ {
-			j := neighbors[a]
-			// Find the arc j -> i by binary search in j's sorted list.
-			lo, hi := offsets[j], offsets[j+1]
-			s := neighbors[lo:hi]
-			k := sort.Search(len(s), func(x int) bool { return s[x] >= int32(i) })
-			if k == len(s) || s[k] != int32(i) {
-				return nil, fmt.Errorf("graph: internal error: missing reverse arc %d->%d", j, i)
-			}
-			mate[a] = lo + int32(k)
+	higher := mate[:len(edges)] // step 1's buckets, consumed before step 3
+	for _, e := range edges {
+		e = orient(e[0], e[1])
+		higher[bucket[e[0]]] = e[1]
+		bucket[e[0]]++
+	}
+	cursor := make([]int32, n) // next free slot of each node's list
+	copy(cursor, offsets[:n])
+	var lo int32
+	for u := 0; u < n; u++ {
+		for _, v := range higher[lo:bucket[u]] {
+			neighbors[cursor[v]] = int32(u)
+			cursor[v]++
+		}
+		lo = bucket[u]
+	}
+	for v := 0; v < n; v++ {
+		for a, end := offsets[v], cursor[v]; a < end; a++ {
+			u := neighbors[a]
+			b := cursor[u]
+			cursor[u]++
+			neighbors[b] = int32(v)
+			mate[a], mate[b] = b, a
 		}
 	}
-	g := &Graph{
-		name:      name,
-		offsets:   offsets,
-		neighbors: neighbors,
-		mate:      mate,
-	}
-	g.minDegree, g.maxDegree = g.computeDegreeBounds()
+	g.neighbors, g.mate = neighbors, mate
 	return g, nil
-}
-
-func (g *Graph) computeDegreeBounds() (min, max int) {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0, 0
-	}
-	min = int(g.offsets[1] - g.offsets[0])
-	max = min
-	for i := 1; i < n; i++ {
-		d := int(g.offsets[i+1] - g.offsets[i])
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return min, max
 }
 
 // Name returns the human-readable graph description set at construction.
