@@ -146,62 +146,76 @@ func buildTopology(r *Runtime) {
 		r.SetHalo(s, r.act[s].haloZ)
 	}
 	offsets, arcs, mate := g.Offsets(), g.Arcs(), g.MateIndex()
-	// Cut arcs of the current source shard, grouped by destination shard;
-	// tails recorded alongside so boundary node lists fall out of one scan.
-	perDstArc := make([][]int32, k)
-	perDstTail := make([][]int32, k)
+	// Per source shard, a first scan counts the cut arcs and boundary nodes
+	// toward each destination, so every link's lists are allocated once at
+	// their final size; a second scan fills them.
+	nCut, nSend, lastTail := make([]int, k), make([]int, k), make([]int, k)
+	to := make([]*link, k) // the source shard's link to each destination
 	for s := 0; s < k; s++ {
 		lo, hi := lay.NodeRange(s)
+		clear(nCut)
+		clear(nSend)
+		for d := range lastTail {
+			lastTail[d] = -1
+		}
 		for i := lo; i < hi; i++ {
-			for a := int(offsets[i]); a < int(offsets[i+1]); a++ {
+			for _, j := range arcs[offsets[i]:offsets[i+1]] {
+				if int(j) >= lo && int(j) < hi {
+					continue
+				}
+				d := lay.ShardOf(int(j))
+				nCut[d]++
+				if lastTail[d] != i {
+					lastTail[d] = i
+					nSend[d]++
+				}
+			}
+		}
+		for d := 0; d < k; d++ {
+			to[d] = nil
+			cut, send := nCut[d], nSend[d]
+			if cut == 0 {
+				continue
+			}
+			l := &link{
+				src: s, dst: d,
+				sendNodes: make([]int32, 0, send),
+				cutArcs:   make([]int32, 0, cut),
+				recvArcs:  make([]int32, 0, cut),
+				slot:      make([]int32, 0, cut),
+				zCh:       make(chan zMsg, 1),
+				fCh:       make(chan fluxMsg, 1),
+				zBuf:      make([]float64, send),
+				fBuf:      make([]int64, cut),
+				fRing:     make([][]int64, span),
+				fRingSum:  make([]int64, span),
+				zRing:     make([][]float64, span),
+				applied:   -1,
+			}
+			for v := 0; v < span; v++ {
+				l.zRing[v] = make([]float64, send)
+				l.fRing[v] = make([]int64, cut)
+			}
+			to[d] = l
+			r.links = append(r.links, l)
+		}
+		// Tails arrive in non-decreasing order (the scan walks nodes in
+		// order and CSR groups a node's arcs), so a tail is a new boundary
+		// node exactly when it differs from the last one recorded.
+		for i := lo; i < hi; i++ {
+			for a := offsets[i]; a < offsets[i+1]; a++ {
 				j := int(arcs[a])
 				if j >= lo && j < hi {
 					continue
 				}
-				d := lay.ShardOf(j)
-				perDstArc[d] = append(perDstArc[d], int32(a))
-				perDstTail[d] = append(perDstTail[d], int32(i))
-			}
-		}
-		for d := 0; d < k; d++ {
-			cut, tails := perDstArc[d], perDstTail[d]
-			if len(cut) == 0 {
-				continue
-			}
-			perDstArc[d], perDstTail[d] = nil, nil
-			l := &link{
-				src: s, dst: d,
-				cutArcs:  cut,
-				recvArcs: make([]int32, len(cut)),
-				slot:     make([]int32, len(cut)),
-				zCh:      make(chan zMsg, 1),
-				fCh:      make(chan fluxMsg, 1),
-				fBuf:     make([]int64, len(cut)),
-				fRing:    make([][]int64, span),
-				fRingSum: make([]int64, span),
-				zRing:    make([][]float64, span),
-				applied:  -1,
-			}
-			// Tails arrive in non-decreasing order (the scan walks nodes in
-			// order and CSR groups a node's arcs), so the unique boundary
-			// node list and the per-arc slots come from a single pass.
-			var send []int32
-			for kk, tail := range tails {
-				if len(send) == 0 || send[len(send)-1] != tail {
-					send = append(send, tail)
+				l := to[lay.ShardOf(j)]
+				if m := len(l.sendNodes); m == 0 || l.sendNodes[m-1] != int32(i) {
+					l.sendNodes = append(l.sendNodes, int32(i))
 				}
-				l.slot[kk] = int32(len(send) - 1)
+				l.cutArcs = append(l.cutArcs, a)
+				l.recvArcs = append(l.recvArcs, mate[a])
+				l.slot = append(l.slot, int32(len(l.sendNodes)-1))
 			}
-			l.sendNodes = send
-			l.zBuf = make([]float64, len(send))
-			for kk, a := range cut {
-				l.recvArcs[kk] = mate[a]
-			}
-			for v := 0; v < span; v++ {
-				l.zRing[v] = make([]float64, len(send))
-				l.fRing[v] = make([]int64, len(cut))
-			}
-			r.links = append(r.links, l)
 		}
 	}
 	for _, l := range r.links {
