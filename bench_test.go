@@ -315,6 +315,7 @@ func BenchmarkPowerIterationLambda(b *testing.B) {
 
 func BenchmarkGraphConstruction(b *testing.B) {
 	b.Run("torus-256x256", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := diffusionlb.Torus2D(256, 256); err != nil {
 				b.Fatal(err)
@@ -322,6 +323,7 @@ func BenchmarkGraphConstruction(b *testing.B) {
 		}
 	})
 	b.Run("hypercube-2^14", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := diffusionlb.Hypercube(14); err != nil {
 				b.Fatal(err)
@@ -329,8 +331,28 @@ func BenchmarkGraphConstruction(b *testing.B) {
 		}
 	})
 	b.Run("random-regular-n10k-d12", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := diffusionlb.RandomRegular(10000, 12, uint64(i+1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// The expander's degree, at a size where the edge set no longer fits
+	// in cache.
+	b.Run("regular:65536:8", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := diffusionlb.RandomRegular(65536, 8, uint64(i+1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// Threshold radius: the cell index, then the patch-up rebuild.
+	b.Run("rgg:65536", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := diffusionlb.RandomGeometric(65536, uint64(i+1), diffusionlb.GeometricOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
