@@ -120,7 +120,7 @@ func fromEdges(name string, n int, edges [][2]int32) (*Graph, error) {
 		return nil, ErrTooLarge
 	}
 	offsets := make([]int32, n+1)
-	bucket := make([]int32, n) // step 1's cursor; ends as the end of u's bucket
+	bucket := make([]int32, n) // per lower endpoint: edge count, then start, then end of its bucket
 	for _, e := range edges {
 		e = orient(e[0], e[1])
 		offsets[e[0]+1]++
