@@ -44,12 +44,12 @@
 //	    -policy attaches a hybrid switch policy (at:N | local:T |
 //	    stall:W:F | adaptive:LO:HI[:CD]); the adaptive hysteresis band
 //	    re-arms SOS when a post-switch burst — or a speed event —
-//	    re-inflates the speed-normalized local difference. -switch N is the
-//	    legacy alias for -policy at:N. -workload, -env, -scenario and
-//	    -policy are also sweep axes in -sweep mode; their lists are
-//	    ';'-separated uniformly, because env and scenario specs contain
-//	    commas. -sweep -stream csv|json streams each aggregated group as
-//	    it completes (byte-identical to -format csv/json, bounded memory).
+//	    re-inflates the speed-normalized local difference. -workload, -env,
+//	    -scenario and -policy are also sweep axes in -sweep mode; their
+//	    lists are ';'-separated uniformly, because env and scenario specs
+//	    contain commas. -sweep -stream csv|json streams each aggregated
+//	    group as it completes (byte-identical to -format csv/json, bounded
+//	    memory).
 //	    -runtime actor:K[,stale=S] runs the simulation on the message-
 //	    passing actor runtime: K shard actors exchange boundary flux over
 //	    channels; stale=0 (the default) is the barrier mode, bit-identical
@@ -158,8 +158,7 @@ func run(args []string) error {
 		envSpec      = fs.String("env", "", "environment dynamics (time-varying speeds): throttle:at=R,frac=F,factor=X | boost:... | drain:at=R,frac=F[,ramp=T][,restore=R2] | jitter:sigma=S, joined with '+' (empty = fixed speeds; ';'-separated list in -sweep mode, since env specs contain commas)")
 		scenarioSpec = fs.String("scenario", "", "coupled scenario (speed + load on one timeline): drain:at=R,frac=F[,ramp=W][,restore=R2] | correlated:at=R,frac=F,factor=X,load=L | cascade:at=R,waves=K,gap=G,frac=F,factor=X, joined with '+' (empty = none; ';'-separated list in -sweep mode)")
 		betaReopt    = fs.Float64("betareopt", 0, "re-optimize the SOS beta whenever the total speed drifts by this relative threshold (0 = off; free-form mode, needs -env or -scenario)")
-		policySpec   = fs.String("policy", "", "hybrid switch policy: at:ROUND | local:THRESHOLD | stall:WINDOW:FACTOR | adaptive:LO:HI[:COOLDOWN] | never (empty = never; ';'-separated list in -sweep mode; supersedes -switch)")
-		switchAt     = fs.Int("switch", 0, "switch SOS->FOS at this round (0 = never; legacy alias for -policy at:N)")
+		policySpec   = fs.String("policy", "", "hybrid switch policy: at:ROUND | local:THRESHOLD | stall:WINDOW:FACTOR | adaptive:LO:HI[:COOLDOWN] | never (empty = never; ';'-separated list in -sweep mode)")
 		stream       = fs.String("stream", "", "sweep mode: stream each aggregated group as it completes instead of holding the whole grid in memory (csv | json; byte-identical to the -format csv/json output)")
 		every        = fs.Int("every", 0, "recording cadence (0 = auto)")
 		csvPath      = fs.String("csv", "", "write the recorded series to this CSV file")
@@ -246,7 +245,6 @@ func run(args []string) error {
 			Rounds:       *rounds,
 			Every:        *every,
 			Avg:          *avg,
-			SwitchAt:     *switchAt,
 			BaseSeed:     *seed,
 			StepWorkers:  *stepWorkers,
 		}
@@ -327,7 +325,7 @@ func run(args []string) error {
 		}
 		return freeFormRun(sys, freeFormConfig{
 			scheme: *scheme, rounder: *rounder, rounds: *rounds, avg: *avg,
-			switchAt: *switchAt, every: *every, csvPath: *csvPath,
+			every: *every, csvPath: *csvPath,
 			seed: *seed, workers: sw, tableRows: *tableRows,
 			hetero: speeds != nil, workload: *workloadSpec,
 			policy: *policySpec, env: *envSpec,
@@ -407,7 +405,7 @@ type freeFormConfig struct {
 	betaReopt                float64
 	rounds                   int
 	avg                      int64
-	switchAt, every          int
+	every                    int
 	seed                     uint64
 	workers                  int
 	tableRows                int
@@ -478,18 +476,7 @@ func freeFormRun(sys *diffusionlb.System, cfg freeFormConfig) error {
 			every = 1
 		}
 	}
-	// -policy supersedes the legacy -switch alias; a negative -switch used
-	// to silently mean "never switch", so reject it loudly instead.
-	if cfg.switchAt < 0 {
-		return fmt.Errorf("negative -switch %d (use 0 for never, or -policy)", cfg.switchAt)
-	}
-	policySpec := cfg.policy
-	if policySpec == "" && cfg.switchAt > 0 {
-		policySpec = fmt.Sprintf("at:%d", cfg.switchAt)
-	} else if policySpec != "" && cfg.switchAt > 0 {
-		return fmt.Errorf("set either -policy or -switch, not both")
-	}
-	policy, err := diffusionlb.PolicyFromSpec(policySpec)
+	policy, err := diffusionlb.PolicyFromSpec(cfg.policy)
 	if err != nil {
 		return withGrammar(err)
 	}

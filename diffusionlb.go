@@ -261,9 +261,10 @@ var RounderByName = core.RounderByName
 
 // --- hybrid switching ---
 
-// SwitchPolicy decides when a hybrid run switches from SOS to FOS
-// (one-way, at most once; see AdaptivePolicy for re-arming controllers).
-type SwitchPolicy = core.SwitchPolicy
+// AdaptivePolicy decides the scheme of a hybrid run after every round:
+// the one-shot policies below move SOS→FOS once, HysteresisBand also
+// re-arms FOS→SOS when a workload burst re-inflates the signal.
+type AdaptivePolicy = core.AdaptivePolicy
 
 // SwitchAtRound switches after a fixed round.
 type SwitchAtRound = core.SwitchAtRound
@@ -278,15 +279,11 @@ type SwitchOnPotentialStall = core.SwitchOnPotentialStall
 // NeverSwitch never switches.
 type NeverSwitch = core.NeverSwitch
 
-// AdaptivePolicy is the bidirectional switch controller: SOS→FOS on the
-// plateau, FOS→SOS re-arm when a workload burst re-inflates the signal.
-type AdaptivePolicy = core.AdaptivePolicy
-
 // HysteresisBand is the re-arming controller over φ_local with a
 // [Lo, Hi] hysteresis band and a switch cooldown.
 type HysteresisBand = core.HysteresisBand
 
-// SwitchEvent records one scheme switch of a hybrid/adaptive run.
+// SwitchEvent records one scheme switch of a hybrid run.
 type SwitchEvent = core.SwitchEvent
 
 // AdaptiveProcess wraps a Process so a policy is applied after every Step
@@ -299,17 +296,13 @@ var (
 	Run = core.Run
 	// RunUntil drives a process until a predicate fires.
 	RunUntil = core.RunUntil
-	// RunHybrid drives a process with a one-way switch policy.
-	RunHybrid = core.RunHybrid
-	// RunAdaptive drives a process with an adaptive policy, returning the
+	// RunAdaptive drives a process under a switch policy, returning the
 	// switch history.
 	RunAdaptive = core.RunAdaptive
 	// ConvergedWithin builds a discrepancy-based stop predicate.
 	ConvergedWithin = core.ConvergedWithin
 	// ProportionallyConvergedWithin is the heterogeneous analogue.
 	ProportionallyConvergedWithin = core.ProportionallyConvergedWithin
-	// OneShot adapts a one-way SwitchPolicy into an AdaptivePolicy.
-	OneShot = core.OneShot
 	// PolicyFromSpec parses the textual policy syntax shared with the
 	// lbsim CLI and the sweep engine, e.g. "adaptive:16:64:100".
 	PolicyFromSpec = core.PolicyFromSpec
@@ -318,8 +311,6 @@ var (
 	// ApplyAdaptive evaluates a policy against a process and actuates the
 	// switch it requests.
 	ApplyAdaptive = core.ApplyAdaptive
-	// ResetPolicy clears a stateful policy's per-run state for reuse.
-	ResetPolicy = core.ResetPolicy
 )
 
 // --- simulation harness ---

@@ -52,7 +52,7 @@ func run() error {
 
 	type outcome struct {
 		name        string
-		switchRound int
+		switches    []diffusionlb.SwitchEvent
 		maxMinusAvg float64
 		localDiff   float64
 	}
@@ -60,7 +60,7 @@ func run() error {
 
 	configs := []struct {
 		name   string
-		policy diffusionlb.SwitchPolicy
+		policy diffusionlb.AdaptivePolicy
 	}{
 		{"pure SOS", diffusionlb.NeverSwitch{}},
 		{fmt.Sprintf("switch@%d", switchAt), diffusionlb.SwitchAtRound{Round: switchAt}},
@@ -72,9 +72,9 @@ func run() error {
 			return err
 		}
 		runner := &diffusionlb.Runner{
-			Proc:   proc,
-			Every:  10,
-			Policy: cfg.policy,
+			Proc:     proc,
+			Every:    10,
+			Adaptive: cfg.policy,
 			Metrics: []diffusionlb.Metric{
 				diffusionlb.MetricMaxMinusAvg(),
 				diffusionlb.MetricMaxLocalDiff(),
@@ -92,7 +92,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		results = append(results, outcome{cfg.name, res.SwitchRound, mma, mld})
+		results = append(results, outcome{cfg.name, res.Switches, mma, mld})
 	}
 
 	fmt.Printf("torus %dx%d, %d rounds, avg load 1000, λ=%.6f β=%.6f\n\n",
@@ -100,8 +100,8 @@ func run() error {
 	fmt.Printf("%-28s %12s %14s %16s\n", "run", "switched at", "max − avg", "max local diff")
 	for _, r := range results {
 		sw := "never"
-		if r.switchRound >= 0 {
-			sw = fmt.Sprintf("round %d", r.switchRound)
+		if len(r.switches) > 0 {
+			sw = fmt.Sprintf("round %d", r.switches[0].Round)
 		}
 		fmt.Printf("%-28s %12s %14.0f %16.0f\n", r.name, sw, r.maxMinusAvg, r.localDiff)
 	}

@@ -258,7 +258,7 @@ func TestAdaptiveCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Adapt(p, OneShot(SwitchAtRound{Round: 10}))
+	a := Adapt(p, SwitchAtRound{Round: 10})
 	Run(a, 20)
 	if len(a.Switches()) != 1 {
 		t.Fatalf("switch history = %v, want one event", a.Switches())
@@ -270,7 +270,7 @@ func TestAdaptiveCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := Adapt(q, OneShot(SwitchAtRound{Round: 10}))
+	b := Adapt(q, SwitchAtRound{Round: 10})
 	if err := b.Restore(cp); err != nil {
 		t.Fatal(err)
 	}

@@ -558,9 +558,9 @@ func TestRunHybridSwitchesAtRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := RunHybrid(proc, SwitchAtRound{Round: 25}, 60)
-	if sw != 25 {
-		t.Errorf("switch at round %d, want 25", sw)
+	events := RunAdaptive(proc, SwitchAtRound{Round: 25}, 60)
+	if len(events) != 1 || events[0] != (SwitchEvent{Round: 25, From: SOS, To: FOS}) {
+		t.Errorf("switch history = %v, want [25:SOS->FOS]", events)
 	}
 	if proc.Kind() != FOS {
 		t.Errorf("after hybrid run kind = %v, want FOS", proc.Kind())
@@ -590,7 +590,7 @@ func TestHybridImprovesImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RunHybrid(hybrid, SwitchAtRound{Round: total / 2}, total)
+	RunAdaptive(hybrid, SwitchAtRound{Round: total / 2}, total)
 	pureGlobal := metrics.MaxMinusAvg(pure.LoadsInt())
 	hybridGlobal := metrics.MaxMinusAvg(hybrid.LoadsInt())
 	if hybridGlobal > pureGlobal {
@@ -610,26 +610,26 @@ func TestSwitchPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := SwitchOnLocalDiff{Threshold: 1e9} // fires immediately
-	if !local.Decide(proc) {
+	if kind, ok := local.Decide(proc); !ok || kind != FOS {
 		t.Error("huge threshold should fire")
 	}
 	tight := SwitchOnLocalDiff{Threshold: 0}
-	if tight.Decide(proc) {
+	if _, ok := tight.Decide(proc); ok {
 		t.Error("threshold 0 should not fire on an unbalanced start")
 	}
 	stall := &SwitchOnPotentialStall{Window: 5, Factor: 0.01}
 	fired := false
 	for round := 0; round < 200 && !fired; round++ {
 		proc.Step()
-		fired = stall.Decide(proc)
+		_, fired = stall.Decide(proc)
 	}
 	if !fired {
 		t.Error("potential-stall policy never fired in 200 rounds on a tiny torus")
 	}
-	if (NeverSwitch{}).Decide(proc) {
+	if _, ok := (NeverSwitch{}).Decide(proc); ok {
 		t.Error("NeverSwitch must never fire")
 	}
-	for _, p := range []SwitchPolicy{local, tight, stall, NeverSwitch{}, SwitchAtRound{Round: 5}} {
+	for _, p := range []AdaptivePolicy{local, tight, stall, NeverSwitch{}, SwitchAtRound{Round: 5}} {
 		if p.Name() == "" {
 			t.Error("policy must have a name")
 		}

@@ -11,22 +11,31 @@ import (
 	"diffusionlb/internal/spectral"
 )
 
-// SwitchPolicy decides when a hybrid run should switch from SOS to FOS.
-// The paper (Section VI-A) observes that discrete SOS stalls at a small
-// constant imbalance and proposes switching to FOS once that plateau is
-// reached; it also notes that the maximum local load difference is a good
-// switching signal because it is locally computable.
+// AdaptivePolicy decides, after every completed round, which scheme a
+// hybrid run should use next. The paper (Section VI-A) observes that
+// discrete SOS stalls at a small constant imbalance and proposes switching
+// to FOS once that plateau is reached; it also notes that the maximum local
+// load difference is a good switching signal because it is locally
+// computable.
 //
-// SwitchPolicy is one-way: it can only ever fire SOS→FOS, once. Adaptive
-// controllers that re-arm SOS after a workload burst implement
-// AdaptivePolicy instead; OneShot adapts any SwitchPolicy into one.
+// The one-shot policies (SwitchAtRound, SwitchOnLocalDiff,
+// SwitchOnPotentialStall, NeverSwitch) only ever move SOS→FOS: they fire
+// while the process runs SOS and are inert once it runs FOS. The re-arming
+// HysteresisBand also moves FOS→SOS when a workload burst re-inflates the
+// signal, any number of times: the SOS scheme's speedup comes from its flow
+// memory (the second-order iteration of Muthukrishnan–Ghosh–Schultz), so a
+// burst detected after the plateau switch should restart SOS rather than
+// limp home at FOS pace.
 //
-// Policies may keep state across rounds; Decide is called after every
-// completed round with the process to inspect. Stateful policies implement
-// Reset() — see ResetPolicy.
-type SwitchPolicy interface {
-	// Decide reports whether the process should switch to FOS now.
-	Decide(p Process) bool
+// Policies may keep state across rounds. A stateful policy is tied to one
+// trajectory: build a fresh one per run (e.g. via PolicyFromSpec) or call
+// its Reset method before reusing it.
+type AdaptivePolicy interface {
+	// Decide returns the scheme kind the process should run from the next
+	// round on, and whether to switch now. (_, false) keeps the current
+	// kind. Decide is called after every completed round (after any
+	// external workload injection, so controllers see post-burst loads).
+	Decide(p Process) (Kind, bool)
 	// Name identifies the policy in reports, in the PolicyFromSpec
 	// spelling; for parser-constructed policies it round-trips through
 	// PolicyFromSpec (hand-constructed values may use parameters the
@@ -54,42 +63,49 @@ func localDiff(p Process) float64 {
 	return metrics.HeteroMaxLocalDiff(g, lv.Float, sp)
 }
 
-// SwitchAtRound switches unconditionally after a fixed number of completed
-// rounds (the paper's Figures 4/5/8 use 2500/3000 and 300..900).
+// SwitchAtRound switches SOS→FOS unconditionally after a fixed number of
+// completed rounds (the paper's Figures 4/5/8 use 2500/3000 and 300..900).
 type SwitchAtRound struct{ Round int }
 
-// Decide implements SwitchPolicy.
-func (s SwitchAtRound) Decide(p Process) bool { return p.Round() >= s.Round }
+// Decide implements AdaptivePolicy.
+func (s SwitchAtRound) Decide(p Process) (Kind, bool) {
+	return FOS, p.Kind() == SOS && p.Round() >= s.Round
+}
 
-// Name implements SwitchPolicy.
+// Name implements AdaptivePolicy.
 func (s SwitchAtRound) Name() string { return fmt.Sprintf("at:%d", s.Round) }
 
-// SwitchOnLocalDiff switches once the maximum local load difference drops
-// to Threshold or below — the locally-computable signal the paper
+// SwitchOnLocalDiff switches SOS→FOS once the maximum local load difference
+// drops to Threshold or below — the locally-computable signal the paper
 // recommends for distributed deployments.
 type SwitchOnLocalDiff struct{ Threshold float64 }
 
-// Decide implements SwitchPolicy.
-func (s SwitchOnLocalDiff) Decide(p Process) bool { return localDiff(p) <= s.Threshold }
+// Decide implements AdaptivePolicy. The O(arcs) scan only runs on SOS
+// rounds.
+func (s SwitchOnLocalDiff) Decide(p Process) (Kind, bool) {
+	return FOS, p.Kind() == SOS && localDiff(p) <= s.Threshold
+}
 
-// Name implements SwitchPolicy.
+// Name implements AdaptivePolicy.
 func (s SwitchOnLocalDiff) Name() string { return fmt.Sprintf("local:%g", s.Threshold) }
 
-// SwitchOnPotentialStall switches when the 2-norm potential has improved by
-// less than Factor (e.g. 0.01 = 1%) over the last Window rounds — the
-// "end of the exponential decay phase" signal visible in Figure 1.
+// SwitchOnPotentialStall switches SOS→FOS when the 2-norm potential has
+// improved by less than Factor (e.g. 0.01 = 1%) over the last Window
+// rounds — the "end of the exponential decay phase" signal visible in
+// Figure 1.
 //
-// The policy keeps a bounded ring of the last Window+1 potential samples
-// (memory is O(Window), not O(rounds)). A value is tied to one trajectory:
-// call Reset (or build a fresh policy) before reusing it for another run,
-// or its first Window decisions are corrupted by the previous run's tail.
+// The policy samples the potential on SOS rounds only, into a ring that
+// grows to at most Window+1 samples (memory is O(min(Window, rounds)), not
+// O(rounds)). A value is tied to one trajectory: call Reset (or build a
+// fresh policy) before reusing it for another run, or its first Window
+// decisions are corrupted by the previous run's tail.
 type SwitchOnPotentialStall struct {
 	Window int
 	Factor float64
 
-	ring  []float64 // last Window+1 samples, oldest at head once full
-	head  int
-	count int
+	ring []float64 // up to window+1 samples, oldest at head once full
+	head int
+	win  int // the window ring was filled under; a change discards it
 }
 
 // window resolves the default Window.
@@ -101,10 +117,13 @@ func (s *SwitchOnPotentialStall) window() int {
 }
 
 // Reset discards the sample history so the value can start a fresh run.
-func (s *SwitchOnPotentialStall) Reset() { s.head, s.count = 0, 0 }
+func (s *SwitchOnPotentialStall) Reset() { s.ring, s.head = s.ring[:0], 0 }
 
-// Decide implements SwitchPolicy.
-func (s *SwitchOnPotentialStall) Decide(p Process) bool {
+// Decide implements AdaptivePolicy.
+func (s *SwitchOnPotentialStall) Decide(p Process) (Kind, bool) {
+	if p.Kind() != SOS {
+		return FOS, false
+	}
 	lv := p.Loads()
 	var phi float64
 	if lv.Int != nil {
@@ -112,29 +131,32 @@ func (s *SwitchOnPotentialStall) Decide(p Process) bool {
 	} else {
 		phi = metrics.Potential(lv.Float, p.Operator().Speeds())
 	}
-	w := s.window()
-	if len(s.ring) != w+1 {
+	if w := s.window(); w != s.win {
 		// First use, or Window changed mid-run (which discards history).
-		s.ring = make([]float64, w+1)
+		s.win = w
 		s.Reset()
 	}
-	s.ring[s.head] = phi
-	s.head = (s.head + 1) % len(s.ring)
-	if s.count < len(s.ring) {
-		s.count++
+	// Append until the ring holds win+1 samples, then overwrite the
+	// oldest; comparing len <= win never forms win+1, which would overflow
+	// for a window of math.MaxInt.
+	if len(s.ring) <= s.win {
+		s.ring = append(s.ring, phi)
+	} else {
+		s.ring[s.head] = phi
+		s.head = (s.head + 1) % len(s.ring)
 	}
-	if s.count <= w {
-		return false
+	if len(s.ring) <= s.win {
+		return FOS, false
 	}
-	old := s.ring[s.head] // oldest of the stored samples: w rounds ago
+	old := s.ring[s.head] // oldest of the stored samples: win rounds ago
 	if old <= 0 {
-		return true
+		return FOS, true
 	}
 	improvement := (old - phi) / old
-	return improvement < s.Factor
+	return FOS, improvement < s.Factor
 }
 
-// Name implements SwitchPolicy.
+// Name implements AdaptivePolicy.
 func (s *SwitchOnPotentialStall) Name() string {
 	return fmt.Sprintf("stall:%d:%g", s.window(), s.Factor)
 }
@@ -142,34 +164,13 @@ func (s *SwitchOnPotentialStall) Name() string {
 // NeverSwitch is the identity policy (pure SOS or pure FOS run).
 type NeverSwitch struct{}
 
-// Decide implements SwitchPolicy.
-func (NeverSwitch) Decide(Process) bool { return false }
+// Decide implements AdaptivePolicy.
+func (NeverSwitch) Decide(Process) (Kind, bool) { return 0, false }
 
-// Name implements SwitchPolicy.
+// Name implements AdaptivePolicy.
 func (NeverSwitch) Name() string { return "never" }
 
-// --- adaptive (bidirectional) switching ---
-
-// AdaptivePolicy is the bidirectional generalisation of SwitchPolicy: a
-// controller that may move a hybrid run SOS→FOS when the balance signal
-// plateaus and re-arm SOS (FOS→SOS) when a workload burst re-inflates it,
-// any number of times. The SOS scheme's speedup comes from its flow memory
-// (the second-order iteration of Muthukrishnan–Ghosh–Schultz), so a burst
-// detected after the one-shot switch should restart SOS rather than limp
-// home at FOS pace.
-type AdaptivePolicy interface {
-	// Decide returns the scheme kind the process should run from the next
-	// round on, and whether to switch now. (_, false) keeps the current
-	// kind. Decide is called after every completed round (after any
-	// external workload injection, so controllers see post-burst loads).
-	Decide(p Process) (Kind, bool)
-	// Name identifies the policy in reports, in the PolicyFromSpec
-	// spelling; for parser-constructed policies it round-trips through
-	// PolicyFromSpec.
-	Name() string
-}
-
-// SwitchEvent records one scheme switch of an adaptive (or one-shot) run.
+// SwitchEvent records one scheme switch of a hybrid run.
 type SwitchEvent struct {
 	// Round is the completed round after which the switch happened; the
 	// new kind applies from the next round on.
@@ -183,38 +184,6 @@ type SwitchEvent struct {
 func (e SwitchEvent) String() string {
 	return fmt.Sprintf("%d:%s->%s", e.Round, e.From, e.To)
 }
-
-// oneShot adapts a one-way SwitchPolicy into an AdaptivePolicy preserving
-// the legacy hybrid semantics: it only ever fires while the process runs
-// SOS, so after the SOS→FOS switch the wrapped policy is never consulted
-// again (unless something else re-arms SOS).
-type oneShot struct{ sp SwitchPolicy }
-
-// OneShot adapts a one-way SwitchPolicy into an AdaptivePolicy that fires
-// SOS→FOS at most once. A nil policy never switches.
-func OneShot(sp SwitchPolicy) AdaptivePolicy { return oneShot{sp: sp} }
-
-// Decide implements AdaptivePolicy.
-func (o oneShot) Decide(p Process) (Kind, bool) {
-	if o.sp == nil || p.Kind() != SOS {
-		return 0, false
-	}
-	if o.sp.Decide(p) {
-		return FOS, true
-	}
-	return 0, false
-}
-
-// Name implements AdaptivePolicy.
-func (o oneShot) Name() string {
-	if o.sp == nil {
-		return "never"
-	}
-	return o.sp.Name()
-}
-
-// Reset forwards to the wrapped policy if it is stateful.
-func (o oneShot) Reset() { ResetPolicy(o.sp) }
 
 // HysteresisBand is the re-arming adaptive controller: it switches to FOS
 // when φ_local (the max local load difference) drops to Lo or below — the
@@ -276,17 +245,6 @@ func (h *HysteresisBand) Name() string {
 	return fmt.Sprintf("adaptive:%g:%g:%d", h.Lo, h.Hi, h.Cooldown)
 }
 
-// ResetPolicy clears any per-run state the policy value carries (stall
-// history, hysteresis cooldown anchor), making it safe to reuse for a
-// fresh run. Stateless policies and nil are no-ops. Callers that cannot
-// reset (shared values) should build fresh policies instead, e.g. via
-// PolicyFromSpec — that is what sweep cells do.
-func ResetPolicy(policy any) {
-	if r, ok := policy.(interface{ Reset() }); ok {
-		r.Reset()
-	}
-}
-
 // ErrBadPolicySpec reports a malformed switch-policy spec.
 var ErrBadPolicySpec = errors.New("core: invalid policy spec")
 
@@ -346,7 +304,7 @@ func PolicyFromSpec(spec string) (AdaptivePolicy, error) {
 		if err := tooMany(1); err != nil {
 			return nil, err
 		}
-		return OneShot(NeverSwitch{}), nil
+		return NeverSwitch{}, nil
 	case "at":
 		round, err := argInt(1)
 		if err != nil {
@@ -358,7 +316,7 @@ func PolicyFromSpec(spec string) (AdaptivePolicy, error) {
 		if round < 1 {
 			return nil, bad("switch round must be >= 1")
 		}
-		return OneShot(SwitchAtRound{Round: round}), nil
+		return SwitchAtRound{Round: round}, nil
 	case "local":
 		thr, err := argFloat(1)
 		if err != nil {
@@ -370,7 +328,7 @@ func PolicyFromSpec(spec string) (AdaptivePolicy, error) {
 		if thr < 0 {
 			return nil, bad("threshold must be >= 0")
 		}
-		return OneShot(SwitchOnLocalDiff{Threshold: thr}), nil
+		return SwitchOnLocalDiff{Threshold: thr}, nil
 	case "stall":
 		window, err := argInt(1)
 		if err != nil {
@@ -389,7 +347,7 @@ func PolicyFromSpec(spec string) (AdaptivePolicy, error) {
 		if factor <= 0 {
 			return nil, bad("factor must be > 0")
 		}
-		return OneShot(&SwitchOnPotentialStall{Window: window, Factor: factor}), nil
+		return &SwitchOnPotentialStall{Window: window, Factor: factor}, nil
 	case "adaptive":
 		lo, err := argFloat(1)
 		if err != nil {
@@ -485,7 +443,9 @@ func (a *AdaptiveProcess) Checkpoint() AdaptiveCheckpoint {
 // the same conservative behavior a fresh run starts with.
 func (a *AdaptiveProcess) Restore(cp AdaptiveCheckpoint) error {
 	a.switches = append(a.switches[:0], cp.Switches...)
-	ResetPolicy(a.policy)
+	if r, ok := a.policy.(interface{ Reset() }); ok {
+		r.Reset()
+	}
 	return nil
 }
 
@@ -542,21 +502,6 @@ func (a *AdaptiveProcess) SetBeta(beta float64) error {
 		return bs.SetBeta(beta)
 	}
 	return fmt.Errorf("core: %T does not implement BetaSetter", a.Process)
-}
-
-// RunHybrid drives p for maxRounds rounds, switching p to FOS the first
-// time policy fires. It returns the round at which the switch happened, or
-// -1 if it never did. A nil policy never switches.
-func RunHybrid(p Process, policy SwitchPolicy, maxRounds int) (switchRound int) {
-	switchRound = -1
-	for r := 0; r < maxRounds; r++ {
-		p.Step()
-		if switchRound < 0 && policy != nil && p.Kind() == SOS && policy.Decide(p) {
-			p.SetKind(FOS)
-			switchRound = p.Round()
-		}
-	}
-	return switchRound
 }
 
 // RunAdaptive drives p for maxRounds rounds under an adaptive policy and

@@ -66,24 +66,24 @@ func TestPotentialStallResetIsReuseSafe(t *testing.T) {
 	// Run A: fill the ring on a flat (stalled) trajectory until it fires.
 	fired := false
 	for i := 0; i < 2*w && !fired; i++ {
-		fired = s.Decide(p)
+		_, fired = s.Decide(p)
 	}
 	if !fired {
 		t.Fatal("stall policy never fired on a flat potential")
 	}
 	// Without a reset, the very first decision of "run B" would fire off
 	// run A's tail — the corrupted-first-decisions bug.
-	if !s.Decide(p) {
+	if _, ok := s.Decide(p); !ok {
 		t.Fatal("stale policy should still fire immediately (this is the bug Reset fixes)")
 	}
 	// After Reset the policy is blind again for w rounds, like a fresh one.
 	s.Reset()
 	for i := 1; i <= w; i++ {
-		if s.Decide(p) {
+		if _, ok := s.Decide(p); ok {
 			t.Fatalf("decision %d after Reset fired from stale history", i)
 		}
 	}
-	if !s.Decide(p) {
+	if _, ok := s.Decide(p); !ok {
 		t.Error("policy should fire once its own window refills on the flat trajectory")
 	}
 }
@@ -152,36 +152,63 @@ func TestHysteresisBandRearmsAndCoolsDown(t *testing.T) {
 	}
 }
 
-func TestOneShotAdapterMatchesLegacyGating(t *testing.T) {
-	// The adapter only fires on SOS processes, so after the switch the
-	// wrapped policy is never consulted again — legacy RunHybrid semantics.
+// TestOneWayPoliciesFireOnlyOnSOS: the one-shot policies fire SOS→FOS and
+// are inert on a FOS process, so after the switch they are never consulted
+// again; the stall ring samples SOS rounds only.
+func TestOneWayPoliciesFireOnlyOnSOS(t *testing.T) {
 	p := newStub(t, SOS)
-	os := OneShot(SwitchAtRound{Round: 3})
+	at := SwitchAtRound{Round: 3}
 	for p.Round() < 2 {
 		p.Step()
-		if _, ok := os.Decide(p); ok {
+		if _, ok := at.Decide(p); ok {
 			t.Fatalf("fired before its round at %d", p.Round())
 		}
 	}
 	p.Step()
-	if kind, ok := os.Decide(p); !ok || kind != FOS {
+	if kind, ok := at.Decide(p); !ok || kind != FOS {
 		t.Fatal("should fire FOS at round 3")
 	}
 	p.SetKind(FOS)
 	p.Step()
-	if _, ok := os.Decide(p); ok {
-		t.Error("one-shot adapter fired on a FOS process")
+	if _, ok := at.Decide(p); ok {
+		t.Error("one-way policy fired on a FOS process")
 	}
-	// A FOS-only run never switches under a one-way policy.
+	// A FOS-only run never switches under a one-way policy, and the stall
+	// policy takes no sample there.
 	f := newStub(t, FOS)
-	f.Step()
-	f.Step()
-	f.Step()
-	if _, ok := OneShot(SwitchAtRound{Round: 1}).Decide(f); ok {
-		t.Error("one-way policy fired on a pure FOS run")
+	f.loads[0] = 10_000
+	stall := &SwitchOnPotentialStall{Window: 1, Factor: 1}
+	for _, policy := range []AdaptivePolicy{
+		SwitchAtRound{Round: 1}, SwitchOnLocalDiff{Threshold: 1e9}, stall, NeverSwitch{},
+	} {
+		for i := 0; i < 3; i++ {
+			f.Step()
+			if _, ok := policy.Decide(f); ok {
+				t.Errorf("%s fired on a pure FOS run", policy.Name())
+			}
+		}
 	}
-	if _, ok := OneShot(nil).Decide(p); ok {
-		t.Error("nil wrapped policy fired")
+	if len(stall.ring) != 0 {
+		t.Errorf("stall policy sampled %d FOS rounds", len(stall.ring))
+	}
+}
+
+// TestHugeStallWindowRuns: the parser accepts any positive window, so the
+// largest one must run without sizing its ring up front (the ring used to
+// be allocated at Window+1 samples, which overflowed or exhausted memory).
+func TestHugeStallWindowRuns(t *testing.T) {
+	for _, spec := range []string{"stall:9223372036854775807:0.5", "stall:1000000000:0.5"} {
+		policy, err := PolicyFromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newStub(t, SOS)
+		if events := RunAdaptive(p, policy, 5); len(events) != 0 {
+			t.Errorf("%s switched within 5 rounds: %v", spec, events)
+		}
+		if n := len(policy.(*SwitchOnPotentialStall).ring); n != 5 {
+			t.Errorf("%s holds %d samples after 5 rounds, want 5", spec, n)
+		}
 	}
 }
 
@@ -254,7 +281,7 @@ func TestAdaptAndRunAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RunAdaptive with a one-shot adapter reproduces RunHybrid exactly.
+	// RunAdaptive with a one-shot policy reproduces a hand-driven switch.
 	mk := func() *Discrete {
 		p, err := NewDiscrete(Config{Op: op, Kind: SOS, Beta: 1.8}, RandomizedRounder{}, 2, x0)
 		if err != nil {
@@ -262,26 +289,31 @@ func TestAdaptAndRunAdaptive(t *testing.T) {
 		}
 		return p
 	}
-	legacy := mk()
-	sw := RunHybrid(legacy, SwitchAtRound{Round: 25}, 60)
-	adaptive := mk()
-	events := RunAdaptive(adaptive, OneShot(SwitchAtRound{Round: 25}), 60)
-	if len(events) != 1 || events[0].Round != sw || events[0].From != SOS || events[0].To != FOS {
-		t.Fatalf("RunAdaptive events = %v, want one SOS->FOS at %d", events, sw)
+	manual := mk()
+	for manual.Round() < 60 {
+		manual.Step()
+		if manual.Round() == 25 {
+			manual.SetKind(FOS)
+		}
 	}
-	if !reflect.DeepEqual(legacy.LoadsInt(), adaptive.LoadsInt()) {
-		t.Error("RunAdaptive trajectory diverges from RunHybrid")
+	adaptive := mk()
+	events := RunAdaptive(adaptive, SwitchAtRound{Round: 25}, 60)
+	if len(events) != 1 || events[0] != (SwitchEvent{Round: 25, From: SOS, To: FOS}) {
+		t.Fatalf("RunAdaptive events = %v, want one SOS->FOS at 25", events)
+	}
+	if !reflect.DeepEqual(manual.LoadsInt(), adaptive.LoadsInt()) {
+		t.Error("RunAdaptive trajectory diverges from the hand-driven switch")
 	}
 
 	// The Adapt wrapper applies the policy inside Step and keeps the
 	// wrapped process's capabilities (traffic, injection) visible.
-	wrapped := Adapt(mk(), OneShot(SwitchAtRound{Round: 25}))
+	wrapped := Adapt(mk(), SwitchAtRound{Round: 25})
 	Run(wrapped, 60)
 	if !reflect.DeepEqual(wrapped.Switches(), events) {
 		t.Errorf("Adapt switches = %v, want %v", wrapped.Switches(), events)
 	}
-	if !reflect.DeepEqual(wrapped.Unwrap().(*Discrete).LoadsInt(), legacy.LoadsInt()) {
-		t.Error("Adapt trajectory diverges from RunHybrid")
+	if !reflect.DeepEqual(wrapped.Unwrap().(*Discrete).LoadsInt(), manual.LoadsInt()) {
+		t.Error("Adapt trajectory diverges from the hand-driven switch")
 	}
 	if tok, _ := wrapped.Traffic(); tok == 0 {
 		t.Error("wrapper hides the traffic counters")

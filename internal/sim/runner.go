@@ -285,17 +285,13 @@ type Runner struct {
 	Metrics []Metric
 	// Every is the recording cadence in rounds (default 1).
 	Every int
-	// Policy optionally switches the scheme to FOS mid-run (one-way
-	// hybrid). Internally it runs as core.OneShot(Policy); set Adaptive
-	// instead for bidirectional (re-arming) controllers. Setting both is
-	// an error.
-	Policy core.SwitchPolicy
-	// Adaptive optionally drives the scheme kind every round (hysteresis
-	// re-arming, custom controllers). It is evaluated after workload
-	// injection, so the controller sees post-burst loads the same round
-	// they land. Stateful policies are tied to one trajectory: build a
-	// fresh one per run (e.g. via core.PolicyFromSpec) or call
-	// core.ResetPolicy between runs.
+	// Adaptive optionally drives the scheme kind every round: a one-shot
+	// SOS→FOS hybrid (core.SwitchAtRound, ...), the re-arming
+	// core.HysteresisBand or a custom controller. It is evaluated after
+	// workload injection, so the controller sees post-burst loads the same
+	// round they land. Stateful policies are tied to one trajectory: build
+	// a fresh one per run (e.g. via core.PolicyFromSpec) or call its Reset
+	// method between runs.
 	Adaptive core.AdaptivePolicy
 	// Lockstep processes are stepped once per round before sampling; use
 	// for reference processes consumed by DeviationFrom.
@@ -499,9 +495,6 @@ func (e BetaEvent) String() string {
 type Result struct {
 	// Series holds the recorded metric table.
 	Series *Series
-	// SwitchRound is the round of the first scheme switch (-1 if none) —
-	// the legacy one-shot view of Switches.
-	SwitchRound int
 	// Switches is the full scheme-switch history; adaptive policies may
 	// switch any number of times. Nil when no policy fired.
 	Switches []core.SwitchEvent
@@ -545,15 +538,7 @@ func (r *Runner) Run(rounds int) (*Result, error) {
 		names[i] = m.Name()
 	}
 	series := NewSeries(names...)
-	res := &Result{Series: series, SwitchRound: -1}
-
-	policy := r.Adaptive
-	if r.Policy != nil {
-		if policy != nil {
-			return nil, errors.New("sim: set either Runner.Policy or Runner.Adaptive, not both")
-		}
-		policy = core.OneShot(r.Policy)
-	}
+	res := &Result{Series: series}
 
 	// The speed timeline comes from either Environment or Scenario (whose
 	// speed half is an envdyn.Dynamics); both drive the same reweight +
@@ -791,13 +776,10 @@ func (r *Runner) Run(rounds int) (*Result, error) {
 		// Policy evaluation deliberately follows workload injection above:
 		// an adaptive controller must see the post-burst loads in the same
 		// round the burst lands, or re-arming lags the recording by a round.
-		if policy != nil {
-			if ev, ok := core.ApplyAdaptive(r.Proc, policy); ok {
+		if r.Adaptive != nil {
+			if ev, ok := core.ApplyAdaptive(r.Proc, r.Adaptive); ok {
 				ev.Round = round // the driver's round counter, not p.Round()
 				res.Switches = append(res.Switches, ev)
-				if res.SwitchRound < 0 {
-					res.SwitchRound = round
-				}
 				r.Telemetry.Switch(round, int(ev.To))
 			}
 		}

@@ -113,7 +113,7 @@ func TestRunnerRecordsAndConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 400 || res.SwitchRound != -1 {
+	if res.Rounds != 400 || res.Switches != nil {
 		t.Fatalf("result = %+v", res)
 	}
 	// Recorded at round 0, every 10, and final round: 42 rows.
@@ -140,16 +140,16 @@ func TestRunnerRecordsAndConverges(t *testing.T) {
 func TestRunnerHybridPolicy(t *testing.T) {
 	proc := discreteProc(t, 8, 8, core.SOS, 1.8)
 	r := &Runner{
-		Proc:    proc,
-		Metrics: []Metric{MaxMinusAvg(), MaxLocalDiff()},
-		Policy:  core.SwitchAtRound{Round: 50},
+		Proc:     proc,
+		Metrics:  []Metric{MaxMinusAvg(), MaxLocalDiff()},
+		Adaptive: core.SwitchAtRound{Round: 50},
 	}
 	res, err := r.Run(120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SwitchRound != 50 {
-		t.Errorf("switch at %d, want 50", res.SwitchRound)
+	if len(res.Switches) != 1 || res.Switches[0].Round != 50 {
+		t.Errorf("switch history %v, want one switch at 50", res.Switches)
 	}
 	if proc.Kind() != core.FOS {
 		t.Error("process should have switched to FOS")
