@@ -56,11 +56,13 @@ verify: verify-static build test-short race
 # fuzz-smoke runs every fuzz target briefly (override FUZZTIME, e.g.
 # FUZZTIME=60s) — the executable proof behind the specroundtrip analyzer's
 # requirement that every FromSpec parser has a fuzz round-trip test, plus
-# the differential check of the CSR builder (FuzzFromEdges).
+# the differential checks of the CSR builder (FuzzFromEdges) and of the
+# power iteration (FuzzSecondEigenvalue).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzFromEdges$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzSecondEigenvalue$$' -fuzztime $(FUZZTIME) ./internal/spectral
 	$(GO) test -run '^$$' -fuzz '^FuzzSpeedsFromSpec$$' -fuzztime $(FUZZTIME) ./internal/hetero
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyFromSpec$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/workload

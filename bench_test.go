@@ -18,6 +18,8 @@ import (
 	"diffusionlb"
 	"diffusionlb/internal/core"
 	"diffusionlb/internal/experiments"
+	"diffusionlb/internal/graph"
+	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/metrics"
 	"diffusionlb/internal/randx"
 	"diffusionlb/internal/spectral"
@@ -295,21 +297,63 @@ func BenchmarkEngineParallelism(b *testing.B) {
 	}
 }
 
+// BenchmarkPowerIterationLambda times the β power iteration. The
+// random-regular case rotates the start seed; the others are the sweep
+// grid's systems without a closed-form λ, at the sweep's tolerance, each
+// timed on a fresh operator so the λ cache never answers.
 func BenchmarkPowerIterationLambda(b *testing.B) {
-	g, err := diffusionlb.RandomRegular(5000, 12, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	op, err := spectral.NewOperator(g, nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := op.SecondEigenvalue(spectral.PowerOptions{Seed: uint64(i + 1)}); err != nil {
+	b.Run("regular:5000:12/seeds", func(b *testing.B) {
+		g, err := diffusionlb.RandomRegular(5000, 12, 1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		op, err := spectral.NewOperator(g, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := op.SecondEigenvalue(spectral.PowerOptions{Seed: uint64(i + 1)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, sys := range []struct{ graph, speeds string }{
+		{"torus2d:32x32", "twoclass:0.25:4"},
+		{"hypercube:10", "twoclass:0.25:4"},
+		{"regular:4096:8", ""},
+		{"regular:4096:8", "twoclass:0.25:4"},
+	} {
+		name := sys.graph
+		if sys.speeds != "" {
+			name += "/" + sys.speeds
+		}
+		b.Run(name, func(b *testing.B) {
+			g, err := graph.FromSpec(sys.graph, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sp := hetero.Homogeneous(g.NumNodes())
+			if sys.speeds != "" {
+				if sp, err = hetero.SpeedsFromSpec(sys.speeds, g.NumNodes(), 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				op, err := spectral.NewOperator(g, sp, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, _, err := op.SecondEigenvalue(spectral.PowerOptions{Tol: 1e-10}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 
 	"diffusionlb/internal/graph"
 	"diffusionlb/internal/hetero"
+	"diffusionlb/internal/numeric"
+	"diffusionlb/internal/randx"
 )
 
 // goldenOp builds the operator of a graph spec (seed 1) with the given
@@ -101,5 +103,168 @@ func TestSecondEigenvalueGoldenBits(t *testing.T) {
 				t.Errorf("signed bits = %#x (%.17g), want %#x (%.17g)", got, signed, tc.signed, math.Float64frombits(tc.signed))
 			}
 		})
+	}
+}
+
+// TestPowerIterationAllocsFlat checks that the iteration allocates only
+// its set-up: the allocations of an uncached run must not grow with the
+// number of steps. The two runs differ only in tolerance: 1e-3 stops after
+// about ten steps, the default 1e-12 takes thousands (more than 3000 on
+// both systems, which the ErrNoConvergence check pins). Both converge, so
+// neither formats an error: fmt draws its printers from a sync.Pool, which
+// the race detector empties at random, and an error path would make the
+// counts vary under -race. The systems are a uniform-α cycle and a
+// per-arc-α grid, both with two-class speeds.
+func TestPowerIterationAllocsFlat(t *testing.T) {
+	for _, gs := range []string{"cycle:64", "grid:8x8"} {
+		op := goldenOp(t, gs, "twoclass:0.25:4")
+		if _, _, err := op.secondEigenvalue(PowerOptions{MaxIter: 3000}.withDefaults()); !errors.Is(err, ErrNoConvergence) {
+			t.Fatalf("%s converges within 3000 steps (err = %v); the long run is not long", gs, err)
+		}
+		allocs := func(tol float64) float64 {
+			opts := PowerOptions{Tol: tol}.withDefaults()
+			return testing.AllocsPerRun(5, func() {
+				if _, _, err := op.secondEigenvalue(opts); err != nil {
+					t.Fatalf("%s tol %g: %v", gs, tol, err)
+				}
+			})
+		}
+		if short, long := allocs(1e-3), allocs(0); long != short {
+			t.Errorf("%s: allocs per run: %v in about ten steps, %v in over 3000; the steps allocate", gs, short, long)
+		}
+	}
+}
+
+// FuzzSecondEigenvalue checks the power iteration against the frozen copy
+// of its earlier form, bit for bit, on small generated systems: n in
+// [2, 64] (so every remainder of the four-row blocks occurs), irregular
+// degrees from the edge bytes, homogeneous or random speeds, and a uniform
+// (ConstantAlpha) or per-arc (MaxDegreeAlpha) α.
+func FuzzSecondEigenvalue(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint16(50), uint64(1), []byte{0, 1})
+	f.Add(uint8(1), uint8(1), uint16(500), uint64(7), []byte{0, 1, 1, 2, 2, 0})
+	f.Add(uint8(3), uint8(2), uint16(2000), uint64(3), []byte{0, 1, 1, 2, 4, 0, 3, 1, 2, 4})
+	f.Add(uint8(62), uint8(3), uint16(3000), uint64(9), []byte{63, 0, 0, 63, 7, 9, 9, 7, 12, 40, 5, 6, 6, 7, 1, 2})
+	f.Add(uint8(9), uint8(7), uint16(4000), uint64(2), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 0, 0, 5})
+	f.Fuzz(func(t *testing.T, nRaw, mode uint8, maxIter uint16, seed uint64, data []byte) {
+		n := 2 + int(nRaw)%63
+		b := graph.NewBuilder(n)
+		for k := 0; k+1 < len(data); k += 2 {
+			if u, v := int(data[k])%n, int(data[k+1])%n; u != v {
+				if err := b.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		g, err := b.Build("fuzz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := hetero.Homogeneous(n)
+		if mode&1 != 0 {
+			s := make([]float64, n)
+			for i := range s {
+				s[i] = 1 + float64((seed>>(i%60))&7)/2
+				if i < len(data) {
+					s[i] += float64(data[i]%5) / 4
+				}
+			}
+			if sp, err = hetero.New(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var rule AlphaRule = MaxDegreeAlpha{}
+		if mode&2 != 0 {
+			rule = ConstantAlpha{Value: 1 / float64(g.MaxDegree()+1)}
+		}
+		op, err := NewOperator(g, sp, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := PowerOptions{MaxIter: 1 + int(maxIter)%5000, Seed: seed}
+		if mode&4 != 0 {
+			opts.Tol = 1e-10
+		}
+		opts = opts.withDefaults()
+		lam, signed, err := op.secondEigenvalue(opts)
+		wantLam, wantSigned, wantErr := frozenSecondEigenvalue(op, opts)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("err = %v, frozen = %v", err, wantErr)
+		}
+		if math.Float64bits(lam) != math.Float64bits(wantLam) || math.Float64bits(signed) != math.Float64bits(wantSigned) {
+			t.Fatalf("(λ, signed) = (%.17g, %.17g), frozen (%.17g, %.17g)", lam, signed, wantLam, wantSigned)
+		}
+	})
+}
+
+// frozenSecondEigenvalue is the power iteration as it stood before the
+// fused kernel, kept verbatim as the oracle of FuzzSecondEigenvalue: a
+// row-by-row product with the symmetrized operator, then a separate pass
+// each for the deflation dot, the deflation, the Rayleigh quotient, ‖y‖
+// and the normalization.
+func frozenSecondEigenvalue(op *Operator, opts PowerOptions) (lambda, signed float64, err error) {
+	n := op.g.NumNodes()
+	if n < 2 {
+		return 0, 0, errors.New("spectral: need at least 2 nodes")
+	}
+	invSqrtS := make([]float64, n)
+	principal := make([]float64, n) // B's principal eigenvector ∝ √s_i
+	for i := 0; i < n; i++ {
+		s := op.speeds.Of(i)
+		invSqrtS[i] = 1 / math.Sqrt(s)
+		principal[i] = math.Sqrt(s)
+	}
+	numeric.Normalize(principal)
+
+	rng := randx.New(opts.Seed)
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.Float64() - 0.5
+	}
+	deflate := func(v []float64) {
+		c := numeric.Dot(v, principal)
+		numeric.AXPY(-c, principal, v)
+	}
+	deflate(x)
+	if numeric.Normalize(x) == 0 {
+		// Pathological start; use a deterministic alternative.
+		x[0], x[n-1] = 1, -1
+		deflate(x)
+		numeric.Normalize(x)
+	}
+
+	y := make([]float64, n)
+	prev := math.Inf(1)
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		frozenMulVecSym(op, x, y, invSqrtS)
+		deflate(y)
+		signed = numeric.Dot(x, y) // Rayleigh quotient since ‖x‖=1
+		norm := numeric.Normalize(y)
+		x, y = y, x
+		if norm == 0 {
+			return 0, 0, nil // M restricted to the complement is nilpotent-zero
+		}
+		if math.Abs(norm-prev) <= opts.Tol*(1+norm) && iter > 8 {
+			return norm, signed, nil
+		}
+		prev = norm
+	}
+	return prev, signed, fmt.Errorf("%w after %d iterations (last |λ|≈%.9g)", ErrNoConvergence, opts.MaxIter, prev)
+}
+
+// frozenMulVecSym computes dst = B·x for the symmetrized operator
+// B = S^{−1/2} M S^{1/2} = I − S^{−1/2} L S^{−1/2}:
+// dst_i = x_i − (1/√s_i) Σ_j α_ij (x_i/√s_i − x_j/√s_j).
+func frozenMulVecSym(op *Operator, x, dst, invSqrtS []float64) {
+	offsets, arcs := op.g.Offsets(), op.g.Arcs()
+	alpha := op.alpha
+	for i := range dst {
+		xi := x[i] * invSqrtS[i]
+		var acc float64
+		for a := offsets[i]; a < offsets[i+1]; a++ {
+			j := arcs[a]
+			acc += alpha.At(int(a)) * (xi - x[j]*invSqrtS[j])
+		}
+		dst[i] = x[i] - acc*invSqrtS[i]
 	}
 }

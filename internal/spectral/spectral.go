@@ -396,21 +396,143 @@ func (op *Operator) MulVecT(y, dst []float64) []float64 {
 	return dst
 }
 
-// mulVecSym computes dst = B·x for the symmetrized operator
-// B = S^{−1/2} M S^{1/2} = I − S^{−1/2} L S^{−1/2}:
-// dst_i = x_i − (1/√s_i) Σ_j α_ij (x_i/√s_i − x_j/√s_j).
-func (op *Operator) mulVecSym(x, dst, invSqrtS []float64) {
+// symMulDot is one product of the power iteration: it writes y = B·x for
+// the symmetrized operator B = S^{−1/2} M S^{1/2} = I − S^{−1/2} L S^{−1/2},
+//
+//	y_i = x_i − (1/√s_i) Σ_j α_ij (x̃_i − x̃_j),   x̃ = x·S^{−1/2},
+//
+// and returns the deflation coefficient c = Σ_i y_i·p_i against the
+// principal eigenvector p. xt holds x̃ (it is x itself for homogeneous
+// speeds), so each arc gathers one value.
+//
+// Four consecutive rows are summed side by side, so their floating-point
+// add chains overlap: their first d arcs (d the least of the four degrees)
+// in lockstep, then each row's remaining arcs. Every row still sums its
+// arcs in ascending order from 0, and c sums the rows in ascending order,
+// so the result is bit-identical to a plain row-by-row product followed by
+// a separate dot product.
+//
+//lbvet:hotpath runs once per power-iteration step, tens of thousands of times per λ
+func (op *Operator) symMulDot(y, x, xt, invSqrtS, p []float64) float64 {
 	offsets, arcs := op.g.Offsets(), op.g.Arcs()
-	alpha := op.alpha
-	for i := range dst {
-		xi := x[i] * invSqrtS[i]
-		var acc float64
-		for a := offsets[i]; a < offsets[i+1]; a++ {
-			j := arcs[a]
-			acc += alpha.At(int(a)) * (xi - x[j]*invSqrtS[j])
-		}
-		dst[i] = x[i] - acc*invSqrtS[i]
+	if alpha, ok := op.alpha.Uniform(); ok {
+		return symMulDotUniform(alpha, y, x, xt, invSqrtS, p, offsets, arcs)
 	}
+	return symMulDotPerArc(op.alpha.perArc, y, x, xt, invSqrtS, p, offsets, arcs)
+}
+
+// symMulDotUniform is symMulDot for an operator whose arcs all carry α.
+//
+//lbvet:hotpath the uniform-α body of symMulDot
+func symMulDotUniform(alpha float64, y, x, xt, invSqrtS, p []float64, offsets, arcs []int32) (c float64) {
+	n := len(y)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		blk, s1, s2, s3, d := rows4(arcs, offsets[i:i+5])
+		x0, x1, x2, x3 := xt[i], xt[i+1], xt[i+2], xt[i+3]
+		r0, r1, r2, r3 := blk[:d], blk[s1:s1+d], blk[s2:s2+d], blk[s3:s3+d]
+		var a0, a1, a2, a3 float64
+		for k, j0 := range r0 {
+			j1, j2, j3 := r1[k], r2[k], r3[k]
+			a0 += alpha * (x0 - xt[j0])
+			a1 += alpha * (x1 - xt[j1])
+			a2 += alpha * (x2 - xt[j2])
+			a3 += alpha * (x3 - xt[j3])
+		}
+		if len(blk) != 4*d {
+			a0 = rowUniform(a0, alpha, x0, xt, blk[d:s1])
+			a1 = rowUniform(a1, alpha, x1, xt, blk[s1+d:s2])
+			a2 = rowUniform(a2, alpha, x2, xt, blk[s2+d:s3])
+			a3 = rowUniform(a3, alpha, x3, xt, blk[s3+d:])
+		}
+		y0 := x[i] - a0*invSqrtS[i]
+		y1 := x[i+1] - a1*invSqrtS[i+1]
+		y2 := x[i+2] - a2*invSqrtS[i+2]
+		y3 := x[i+3] - a3*invSqrtS[i+3]
+		y[i], y[i+1], y[i+2], y[i+3] = y0, y1, y2, y3
+		c += y0 * p[i]
+		c += y1 * p[i+1]
+		c += y2 * p[i+2]
+		c += y3 * p[i+3]
+	}
+	for ; i < n; i++ {
+		yi := x[i] - rowUniform(0, alpha, xt[i], xt, arcs[offsets[i]:offsets[i+1]])*invSqrtS[i]
+		y[i] = yi
+		c += yi * p[i]
+	}
+	return c
+}
+
+// symMulDotPerArc is symMulDot for an operator with one α per arc.
+//
+//lbvet:hotpath the per-arc-α body of symMulDot
+func symMulDotPerArc(perArc, y, x, xt, invSqrtS, p []float64, offsets, arcs []int32) (c float64) {
+	n := len(y)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		blk, s1, s2, s3, d := rows4(arcs, offsets[i:i+5])
+		w := perArc[offsets[i]:offsets[i+4]]
+		x0, x1, x2, x3 := xt[i], xt[i+1], xt[i+2], xt[i+3]
+		r0, r1, r2, r3 := blk[:d], blk[s1:s1+d], blk[s2:s2+d], blk[s3:s3+d]
+		w0, w1, w2, w3 := w[:d], w[s1:s1+d], w[s2:s2+d], w[s3:s3+d]
+		var a0, a1, a2, a3 float64
+		for k, j0 := range r0 {
+			j1, j2, j3 := r1[k], r2[k], r3[k]
+			a0 += w0[k] * (x0 - xt[j0])
+			a1 += w1[k] * (x1 - xt[j1])
+			a2 += w2[k] * (x2 - xt[j2])
+			a3 += w3[k] * (x3 - xt[j3])
+		}
+		if len(blk) != 4*d {
+			a0 = rowPerArc(a0, x0, xt, blk[d:s1], w[d:s1])
+			a1 = rowPerArc(a1, x1, xt, blk[s1+d:s2], w[s1+d:s2])
+			a2 = rowPerArc(a2, x2, xt, blk[s2+d:s3], w[s2+d:s3])
+			a3 = rowPerArc(a3, x3, xt, blk[s3+d:], w[s3+d:])
+		}
+		y0 := x[i] - a0*invSqrtS[i]
+		y1 := x[i+1] - a1*invSqrtS[i+1]
+		y2 := x[i+2] - a2*invSqrtS[i+2]
+		y3 := x[i+3] - a3*invSqrtS[i+3]
+		y[i], y[i+1], y[i+2], y[i+3] = y0, y1, y2, y3
+		c += y0 * p[i]
+		c += y1 * p[i+1]
+		c += y2 * p[i+2]
+		c += y3 * p[i+3]
+	}
+	for ; i < n; i++ {
+		lo, hi := offsets[i], offsets[i+1]
+		yi := x[i] - rowPerArc(0, xt[i], xt, arcs[lo:hi], perArc[lo:hi])*invSqrtS[i]
+		y[i] = yi
+		c += yi * p[i]
+	}
+	return c
+}
+
+// rows4 returns the arcs of the four rows whose offsets are off[0:5], as
+// one block with the rows starting at 0, s1, s2 and s3, and the least of
+// the four degrees d.
+func rows4(arcs, off []int32) (blk []int32, s1, s2, s3, d int) {
+	blk = arcs[off[0]:off[4]]
+	s1, s2, s3 = int(off[1]-off[0]), int(off[2]-off[0]), int(off[3]-off[0])
+	return blk, s1, s2, s3, min(s1, s2-s1, s3-s2, len(blk)-s3)
+}
+
+// rowUniform adds α·(xi − xt_j) to acc for each neighbor j in nbrs, in
+// order.
+func rowUniform(acc, alpha, xi float64, xt []float64, nbrs []int32) float64 {
+	for _, j := range nbrs {
+		acc += alpha * (xi - xt[j])
+	}
+	return acc
+}
+
+// rowPerArc adds alphas[k]·(xi − xt_j) to acc for the k-th neighbor j in
+// nbrs, in order.
+func rowPerArc(acc, xi float64, xt []float64, nbrs []int32, alphas []float64) float64 {
+	for k, j := range nbrs {
+		acc += alphas[k] * (xi - xt[j])
+	}
+	return acc
 }
 
 // Dense materializes M for small graphs (tests, Q(t) analysis).
@@ -570,13 +692,41 @@ func (op *Operator) secondEigenvalue(opts PowerOptions) (lambda, signed float64,
 	}
 
 	y := make([]float64, n)
+	// x̃ = x·S^{−1/2} is what the product gathers; with homogeneous speeds
+	// S^{−1/2} = I and x̃ is x itself.
+	xt, yt := x, y
+	if !op.speeds.IsHomogeneous() {
+		xt, yt = make([]float64, n), make([]float64, n)
+		for i := range x {
+			xt[i] = x[i] * invSqrtS[i]
+		}
+	}
+	return op.powerIterate(x, y, xt, yt, invSqrtS, principal, opts)
+}
+
+// powerIterate runs the deflated power iteration from the unit start
+// vector x (x̃ in xt), with y and yt as scratch. Each step makes three
+// passes over the nodes: the product with the deflation dot (symMulDot);
+// the deflation with the Rayleigh quotient Σ x_i y_i and Σ y_i² (‖x‖ = 1);
+// and the normalization of y, which also writes ỹ = y·S^{−1/2} for the next
+// product. Each sum runs in ascending node order, as a separate
+// numeric.Dot would.
+//
+//lbvet:hotpath the whole iteration, up to MaxIter steps per λ; all vectors come from the caller
+func (op *Operator) powerIterate(x, y, xt, yt, invSqrtS, principal []float64, opts PowerOptions) (lambda, signed float64, err error) {
+	scaled := !op.speeds.IsHomogeneous()
 	prev := math.Inf(1)
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		op.mulVecSym(x, y, invSqrtS)
-		deflate(y)
-		signed = numeric.Dot(x, y) // Rayleigh quotient since ‖x‖=1
-		norm := numeric.Normalize(y)
-		x, y = y, x
+		c := op.symMulDot(y, x, xt, invSqrtS, principal)
+		var sq float64
+		signed = 0
+		for i, p := range principal {
+			yi := y[i] + -c*p
+			y[i] = yi
+			signed += x[i] * yi
+			sq += yi * yi
+		}
+		norm := math.Sqrt(sq)
 		if norm == 0 {
 			return 0, 0, nil // M restricted to the complement is nilpotent-zero
 		}
@@ -584,6 +734,20 @@ func (op *Operator) secondEigenvalue(opts PowerOptions) (lambda, signed float64,
 			return norm, signed, nil
 		}
 		prev = norm
+		inv := 1 / norm
+		if scaled {
+			for i := range y {
+				yi := y[i] * inv
+				y[i] = yi
+				yt[i] = yi * invSqrtS[i]
+			}
+		} else {
+			for i := range y {
+				y[i] *= inv
+			}
+		}
+		x, y = y, x
+		xt, yt = yt, xt
 	}
 	return prev, signed, fmt.Errorf("%w after %d iterations (last |λ|≈%.9g)", ErrNoConvergence, opts.MaxIter, prev)
 }
