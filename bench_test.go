@@ -299,8 +299,9 @@ func BenchmarkEngineParallelism(b *testing.B) {
 
 // BenchmarkPowerIterationLambda times the β power iteration. The
 // random-regular case rotates the start seed; the others are the sweep
-// grid's systems without a closed-form λ, at the sweep's tolerance, each
-// timed on a fresh operator so the λ cache never answers.
+// grid's systems without a closed-form λ, plus a random geometric graph
+// (irregular degrees, per-arc α), at the sweep's tolerance, each timed on
+// a fresh operator so the λ cache never answers.
 func BenchmarkPowerIterationLambda(b *testing.B) {
 	b.Run("regular:5000:12/seeds", func(b *testing.B) {
 		g, err := diffusionlb.RandomRegular(5000, 12, 1)
@@ -324,6 +325,8 @@ func BenchmarkPowerIterationLambda(b *testing.B) {
 		{"hypercube:10", "twoclass:0.25:4"},
 		{"regular:4096:8", ""},
 		{"regular:4096:8", "twoclass:0.25:4"},
+		{"rgg:1001", ""},
+		{"rgg:1001", "twoclass:0.25:4"},
 	} {
 		name := sys.graph
 		if sys.speeds != "" {

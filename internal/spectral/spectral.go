@@ -405,12 +405,9 @@ func (op *Operator) MulVecT(y, dst []float64) []float64 {
 // principal eigenvector p. xt holds x̃ (it is x itself for homogeneous
 // speeds), so each arc gathers one value.
 //
-// Four consecutive rows are summed side by side, so their floating-point
-// add chains overlap: their first d arcs (d the least of the four degrees)
-// in lockstep, then each row's remaining arcs. Every row still sums its
-// arcs in ascending order from 0, and c sums the rows in ascending order,
-// so the result is bit-identical to a plain row-by-row product followed by
-// a separate dot product.
+// Every row sums its arcs in ascending order from 0, and c sums the rows
+// in ascending order, so the result is bit-identical to a plain
+// row-by-row product followed by a separate dot product.
 //
 //lbvet:hotpath runs once per power-iteration step, tens of thousands of times per λ
 func (op *Operator) symMulDot(y, x, xt, invSqrtS, p []float64) float64 {
@@ -422,6 +419,9 @@ func (op *Operator) symMulDot(y, x, xt, invSqrtS, p []float64) float64 {
 }
 
 // symMulDotUniform is symMulDot for an operator whose arcs all carry α.
+// Four consecutive rows are summed side by side, so their floating-point
+// add chains overlap: their first d arcs (d the least of the four degrees)
+// in lockstep, then each row's remaining arcs.
 //
 //lbvet:hotpath the uniform-α body of symMulDot
 func symMulDotUniform(alpha float64, y, x, xt, invSqrtS, p []float64, offsets, arcs []int32) (c float64) {
@@ -463,43 +463,12 @@ func symMulDotUniform(alpha float64, y, x, xt, invSqrtS, p []float64, offsets, a
 	return c
 }
 
-// symMulDotPerArc is symMulDot for an operator with one α per arc.
+// symMulDotPerArc is symMulDot for an operator with one α per arc, one
+// row at a time.
 //
 //lbvet:hotpath the per-arc-α body of symMulDot
 func symMulDotPerArc(perArc, y, x, xt, invSqrtS, p []float64, offsets, arcs []int32) (c float64) {
-	n := len(y)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		blk, s1, s2, s3, d := rows4(arcs, offsets[i:i+5])
-		w := perArc[offsets[i]:offsets[i+4]]
-		x0, x1, x2, x3 := xt[i], xt[i+1], xt[i+2], xt[i+3]
-		r0, r1, r2, r3 := blk[:d], blk[s1:s1+d], blk[s2:s2+d], blk[s3:s3+d]
-		w0, w1, w2, w3 := w[:d], w[s1:s1+d], w[s2:s2+d], w[s3:s3+d]
-		var a0, a1, a2, a3 float64
-		for k, j0 := range r0 {
-			j1, j2, j3 := r1[k], r2[k], r3[k]
-			a0 += w0[k] * (x0 - xt[j0])
-			a1 += w1[k] * (x1 - xt[j1])
-			a2 += w2[k] * (x2 - xt[j2])
-			a3 += w3[k] * (x3 - xt[j3])
-		}
-		if len(blk) != 4*d {
-			a0 = rowPerArc(a0, x0, xt, blk[d:s1], w[d:s1])
-			a1 = rowPerArc(a1, x1, xt, blk[s1+d:s2], w[s1+d:s2])
-			a2 = rowPerArc(a2, x2, xt, blk[s2+d:s3], w[s2+d:s3])
-			a3 = rowPerArc(a3, x3, xt, blk[s3+d:], w[s3+d:])
-		}
-		y0 := x[i] - a0*invSqrtS[i]
-		y1 := x[i+1] - a1*invSqrtS[i+1]
-		y2 := x[i+2] - a2*invSqrtS[i+2]
-		y3 := x[i+3] - a3*invSqrtS[i+3]
-		y[i], y[i+1], y[i+2], y[i+3] = y0, y1, y2, y3
-		c += y0 * p[i]
-		c += y1 * p[i+1]
-		c += y2 * p[i+2]
-		c += y3 * p[i+3]
-	}
-	for ; i < n; i++ {
+	for i := range y {
 		lo, hi := offsets[i], offsets[i+1]
 		yi := x[i] - rowPerArc(0, xt[i], xt, arcs[lo:hi], perArc[lo:hi])*invSqrtS[i]
 		y[i] = yi
@@ -709,12 +678,12 @@ func (op *Operator) secondEigenvalue(opts PowerOptions) (lambda, signed float64,
 // passes over the nodes: the product with the deflation dot (symMulDot);
 // the deflation with the Rayleigh quotient Σ x_i y_i and Σ y_i² (‖x‖ = 1);
 // and the normalization of y, which also writes ỹ = y·S^{−1/2} for the next
-// product. Each sum runs in ascending node order, as a separate
-// numeric.Dot would.
+// product (for homogeneous speeds yt is y and S^{−1/2} is exactly 1, so
+// that write stores y_i again). Each sum runs in ascending node order, as
+// a separate numeric.Dot would.
 //
 //lbvet:hotpath the whole iteration, up to MaxIter steps per λ; all vectors come from the caller
 func (op *Operator) powerIterate(x, y, xt, yt, invSqrtS, principal []float64, opts PowerOptions) (lambda, signed float64, err error) {
-	scaled := !op.speeds.IsHomogeneous()
 	prev := math.Inf(1)
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		c := op.symMulDot(y, x, xt, invSqrtS, principal)
@@ -735,16 +704,10 @@ func (op *Operator) powerIterate(x, y, xt, yt, invSqrtS, principal []float64, op
 		}
 		prev = norm
 		inv := 1 / norm
-		if scaled {
-			for i := range y {
-				yi := y[i] * inv
-				y[i] = yi
-				yt[i] = yi * invSqrtS[i]
-			}
-		} else {
-			for i := range y {
-				y[i] *= inv
-			}
+		for i := range y {
+			yi := y[i] * inv
+			y[i] = yi
+			yt[i] = yi * invSqrtS[i]
 		}
 		x, y = y, x
 		xt, yt = yt, xt
